@@ -1,0 +1,8 @@
+"""``python -m qchar``: the same command line as the ``qchar`` script."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,6 +6,12 @@ finite group the shifts range over the whole group, and a polynomial of any
 degree is necessarily constant; on an integer window [-N, N]^m each
 difference shrinks the window, so shifts are limited to those keeping every
 iterate inside.
+
+The degree-0 residual of real, finite values on a group is max - min, which
+is the same float as the largest |f(x + h) - f(x)| over all shifts (rounded
+subtraction is monotone), found in O(|G|) without an addition table.
+``min_degree`` certifies a window function's degree without fitting it; the
+certificate's ``coefficients`` are fitted on first read and cached.
 """
 
 from __future__ import annotations
@@ -99,11 +105,31 @@ class GroupFunction:
         return self.values[self.group.as_index(x)]
 
 
-@dataclass(frozen=True)
 class PolynomialCertificate:
-    degree: int
-    residual: float
-    coefficients: dict | None = None
+    """A certified degree and the residual that decided it.
+
+    ``coefficients`` maps exponent tuples to the fitted polynomial, or is
+    None.  A certificate from ``min_degree`` on a window function fits them
+    from that function on first read.
+    """
+
+    def __init__(self, degree: int, residual: float, coefficients: dict | None = None):
+        self.degree = degree
+        self.residual = residual
+        self._coefficients = coefficients
+        self._unfitted = None  # (window function, tol) until coefficients are read
+
+    def __repr__(self) -> str:
+        return f"PolynomialCertificate(degree={self.degree}, residual={self.residual!r})"
+
+    @property
+    def coefficients(self) -> dict | None:
+        if self._unfitted is not None:
+            f, tol = self._unfitted
+            fit = fit_polynomial_window(f, d_max=self.degree, tol=tol)
+            self._coefficients = fit.coefficients if fit is not None else None
+            self._unfitted = None
+        return self._coefficients
 
 
 def tabulate(radius: int, dim: int, fn) -> WindowFunction:
@@ -156,6 +182,10 @@ def _admissible_shifts(f, n: int):
 
 
 def _poly_residual(f, n: int) -> float:
+    if n == 0 and isinstance(f, GroupFunction):
+        vals = f.values
+        if vals.dtype.kind == "f" and np.isfinite(vals).all():
+            return float(abs(vals.max() - vals.min()))
     worst = 0.0
     for h in _admissible_shifts(f, n):
         g = iterated_delta(f, h, n + 1)
@@ -185,11 +215,10 @@ def min_degree(f, n_max: int | None = None, tol: float | None = None) -> Polynom
     for n in range(n_max + 1):
         r = _poly_residual(f, n)
         if r <= tol:
-            coeffs = None
+            cert = PolynomialCertificate(degree=n, residual=r)
             if isinstance(f, WindowFunction):
-                cert = fit_polynomial_window(f, d_max=n, tol=max(tol, WINDOW_POLY_TOL))
-                coeffs = cert.coefficients if cert is not None else None
-            return PolynomialCertificate(degree=n, residual=r, coefficients=coeffs)
+                cert._unfitted = (f, max(tol, WINDOW_POLY_TOL))
+            return cert
     return None
 
 

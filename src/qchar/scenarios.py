@@ -38,6 +38,7 @@ from .errors import (
     KernelConditionError,
     PremiseError,
     QcharError,
+    SizeLimitError,
     UndefinedLogError,
     WindowExhaustedError,
 )
@@ -130,6 +131,14 @@ def _parse_number(x, where: str) -> float:
     raise ScenarioFormatError(f"{where}: expected number or rational string")
 
 
+def _parse_int(x, where: str) -> int:
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    raise ScenarioFormatError(f"{where}: expected an integer, got {x!r}")
+
+
 def parse_subgroup(group: FiniteAbelianGroup, spec, where: str = "subgroup") -> Subgroup:
     if not isinstance(spec, dict):
         raise ScenarioFormatError(f"{where}: expected an object")
@@ -219,9 +228,12 @@ def parse_joint(group: FiniteAbelianGroup, spec, where: str = "joint") -> JointD
 def parse_window_values(spec, where: str = "window") -> WindowFunction:
     if not isinstance(spec, dict):
         raise ScenarioFormatError(f"{where}: expected an object")
-    radius = int(_need(spec, "radius", where))
-    dim = int(spec.get("dim", 1))
-    win = IntegerWindow(radius, dim)
+    radius = _parse_int(_need(spec, "radius", where), f"{where}.radius")
+    dim = _parse_int(spec.get("dim", 1), f"{where}.dim")
+    try:
+        win = IntegerWindow(radius, dim)
+    except QcharError as exc:
+        raise ScenarioFormatError(f"{where}: {exc}") from exc
     if "values" in spec:
         vals = np.asarray(spec["values"], dtype=np.float64)
         try:
@@ -428,7 +440,7 @@ def _run_pexider_chain(payload: dict, tol: float) -> tuple[str, dict]:
     terms_spec = _need(payload, "terms", "pexider-chain")
     if not isinstance(terms_spec, list) or not terms_spec:
         raise ScenarioFormatError("pexider-chain: 'terms' must be a non-empty list")
-    l = int(payload.get("r_degree", 0))
+    l = _parse_int(payload.get("r_degree", 0), "pexider-chain.r_degree")
     if "group" in payload:
         group = parse_group(payload["group"])
         terms = []
@@ -446,8 +458,8 @@ def _run_pexider_chain(payload: dict, tol: float) -> tuple[str, dict]:
         terms = []
         for i, t in enumerate(terms_spec):
             where = f"pexider-chain.terms[{i}]"
-            psi = parse_window_values(_need(t, "psi", where), where)
-            terms.append((psi, int(_need(t, "b", where))))
+            psi = parse_window_values(_need(t, "psi", where), f"{where}.psi")
+            terms.append((psi, _parse_int(_need(t, "b", where), f"{where}.b")))
         R = None
         if "R" in payload:
             R = parse_window_values(payload["R"], "pexider-chain.R")
@@ -456,13 +468,13 @@ def _run_pexider_chain(payload: dict, tol: float) -> tuple[str, dict]:
         trace = run_pexider_chain(problem)
     except PremiseError as exc:
         return "hypothesis-violated", {"reason": str(exc), "residual": _opt(exc.residual)}
-    except (WindowExhaustedError, KernelConditionError) as exc:
+    except (WindowExhaustedError, KernelConditionError, SizeLimitError) as exc:
         return "fail", {"reason": str(exc)}
     return "pass", trace.to_dict()
 
 
 def _run_heyde_chain(payload: dict, tol: float) -> tuple[str, dict]:
-    l = int(payload.get("r_degree", 0))
+    l = _parse_int(payload.get("r_degree", 0), "heyde-chain.r_degree")
     if "group" in payload:
         group = parse_group(payload["group"])
         vals1 = np.asarray([_parse_number(v, "heyde-chain.psi1")
@@ -478,7 +490,7 @@ def _run_heyde_chain(payload: dict, tol: float) -> tuple[str, dict]:
     else:
         psi1 = parse_window_values(_need(payload, "psi1", "heyde-chain"), "heyde-chain.psi1")
         psi2 = parse_window_values(_need(payload, "psi2", "heyde-chain"), "heyde-chain.psi2")
-        b = int(_need(payload, "b", "heyde-chain"))
+        b = _parse_int(_need(payload, "b", "heyde-chain"), "heyde-chain.b")
     try:
         trace = run_heyde_chain(psi1, psi2, b, r_degree=l)
     except PremiseError as exc:
@@ -490,7 +502,7 @@ def _run_heyde_chain(payload: dict, tol: float) -> tuple[str, dict]:
         elif isinstance(ke, tuple):
             ke = list(ke)
         return "counterexample", {"reason": str(exc), "kernel_element": ke}
-    except WindowExhaustedError as exc:
+    except (WindowExhaustedError, SizeLimitError) as exc:
         return "fail", {"reason": str(exc)}
     return "pass", trace.to_dict()
 

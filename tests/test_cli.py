@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -78,6 +79,54 @@ def test_run_invalid_kind_exits_two(capsys):
     assert code == 2
     assert "invalid input" in err
     assert "$.kind" in err
+
+
+def _full_surface(name):
+    doc = json.load(open(DATA / "full_surface.json"))
+    return next(s for s in doc["scenarios"] if s["name"] == name)
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda p: p.update(r_degree="x"), "pexider-chain.r_degree"),
+    (lambda p: p.update(r_degree=math.nan), "pexider-chain.r_degree"),
+    (lambda p: p.update(r_degree=1.5), "pexider-chain.r_degree"),
+    (lambda p: p.update(r_degree=True), "pexider-chain.r_degree"),
+    (lambda p: p["terms"][1].update(b=math.inf), "pexider-chain.terms[1].b"),
+    (lambda p: p["terms"][0]["psi"].update(radius="40"), "pexider-chain.terms[0].psi.radius"),
+    (lambda p: p["terms"][0]["psi"].update(dim=1.25), "pexider-chain.terms[0].psi.dim"),
+    (lambda p: p["terms"][0]["psi"].update(radius=-3), "pexider-chain.terms[0].psi"),
+])
+def test_run_bad_chain_integer_exits_two(tmp_path, capsys, edit, where):
+    scn = _full_surface("window-two-terms")
+    edit(scn["payload"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scn))
+    code, out, err = run_cli(["run", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"invalid input: {where}" in err
+
+
+def test_integral_float_chain_fields_are_accepted():
+    scn = _full_surface("window-two-terms")
+    want = run_scenario(scn)
+    scn["payload"]["r_degree"] = 3.0
+    scn["payload"]["terms"][0]["psi"]["radius"] = 40.0
+    assert canonical_json(run_scenario(scn)) == canonical_json(want)
+
+
+def test_group_chain_over_size_cap_is_a_fail_verdict():
+    values = [0.5] * 65
+    pexider = {"schema": "qchar-scenario-1", "kind": "pexider-chain", "payload": {
+        "group": {"orders": [65]}, "terms": [{"values": values, "b": {"scalar": 1}}],
+        "r_degree": 0}}
+    heyde = {"schema": "qchar-scenario-1", "kind": "heyde-chain", "payload": {
+        "group": {"orders": [65]}, "psi1": values, "psi2": values, "b": {"scalar": 2},
+        "r_degree": 0}}
+    for scn in (pexider, heyde):
+        rep = run_scenario(scn)
+        assert rep["verdict"] == "fail"
+        assert "exceeds the exhaustive-operation cap" in rep["details"]["reason"]
 
 
 def test_run_multi_scenario_order_and_worker_determinism(capsys):
@@ -159,6 +208,20 @@ def test_console_script_entry_point(qchar_script):
     )
     assert proc.returncode == 0, f"{proc.args} exited {proc.returncode}:\n{proc.stderr}"
     assert json.loads(proc.stdout)["verdict"] == "pass"
+
+
+def test_python_dash_m_qchar_is_quiet(monkeypatch):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    rest = os.environ.get("PYTHONPATH")
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join([src, rest]) if rest else src)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "qchar", "--help"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, f"{proc.args} exited {proc.returncode}:\n{proc.stderr}"
+    assert proc.stderr == ""
+    assert "usage:" in proc.stdout
 
 
 # -- python api parity ------------------------------------------------------

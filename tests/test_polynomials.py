@@ -3,9 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qchar.groups import FiniteAbelianGroup
+import qchar.polynomials as polynomials
+from qchar.elimination import EliminationProblem, run_pexider_chain
+from qchar.groups import Automorphism, FiniteAbelianGroup, _add_table, groups_up_to_order
 from qchar.polynomials import (
+    GROUP_POLY_TOL,
+    WINDOW_POLY_TOL,
     GroupFunction,
+    PolynomialCertificate,
     IntegerWindow,
     WindowFunction,
     constancy_check,
@@ -19,6 +24,7 @@ from qchar.polynomials import (
     quadratic_check,
     tabulate,
 )
+from qchar.scenarios import make_rng
 
 
 def test_window_geometry():
@@ -136,3 +142,99 @@ def test_degree_detection_matches_leading_term(coeffs):
     assert cert is not None
     assert cert.degree == true_deg
     assert cert.residual <= 1e-8
+
+
+# -- degree certification without unread work ---------------------------------
+
+
+def _shift_scan(f):
+    """Degree-0 residual the long way: max |f(x + h) - f(x)| over every shift h."""
+    add = _add_table(f.group)
+    worst = 0.0
+    for h in range(1, f.group.order):
+        worst = max(worst, float(np.abs(f.values[add[:, h]] - f.values).max(initial=0.0)))
+    return worst
+
+
+def _same_float(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+def test_group_degree_zero_residual_equals_shift_scan():
+    rng = make_rng(20)
+    for g in groups_up_to_order(32):
+        n = g.order
+        cases = [
+            rng.standard_normal(n),
+            1e6 * rng.standard_normal(n),
+            np.full(n, rng.standard_normal()),
+            0.3 + GROUP_POLY_TOL * rng.uniform(-0.5, 0.5, n),
+            rng.integers(-2, 3, n).astype(np.float64),
+            rng.standard_normal(n).astype(np.float32),
+        ]
+        for vals in cases:
+            f = GroupFunction(g, vals)
+            assert _same_float(polynomials._poly_residual(f, 0), _shift_scan(f)), (g, vals)
+
+
+def test_group_degree_zero_residual_keeps_scan_for_complex_and_non_finite():
+    rng = make_rng(21)
+    g = FiniteAbelianGroup((2, 6))
+    complex_vals = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    cases = [complex_vals, np.full(12, 1.0 + 2.0j)]
+    for bad in (np.nan, np.inf, -np.inf):
+        vals = rng.standard_normal(12)
+        vals[5] = bad
+        cases.append(vals)
+    for vals in cases:
+        f = GroupFunction(g, vals)
+        assert _same_float(polynomials._poly_residual(f, 0), _shift_scan(f)), vals
+
+
+def test_min_degree_fits_window_coefficients_on_first_read(monkeypatch):
+    fit = polynomials.fit_polynomial_window
+    calls = []
+
+    def counting_fit(*args, **kwargs):
+        calls.append(args)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(polynomials, "fit_polynomial_window", counting_fit)
+    for f in (tabulate(7, 2, lambda x, y: 3 * x ** 2 - x * y + 7),
+              tabulate(9, 1, lambda x: 0.25 * x ** 3 - 0.5 * x + 0.125)):
+        calls.clear()
+        cert = min_degree(f)
+        assert calls == []
+        coeffs = cert.coefficients
+        assert len(calls) == 1
+        assert cert.coefficients is coeffs
+        assert len(calls) == 1
+        assert coeffs == fit(f, d_max=cert.degree, tol=WINDOW_POLY_TOL).coefficients
+
+
+def test_certificate_constructor_keeps_given_coefficients():
+    cert = PolynomialCertificate(degree=1, residual=0.0, coefficients={(1,): 2.0})
+    assert cert.coefficients == {(1,): 2.0}
+    assert PolynomialCertificate(degree=0, residual=0.5).coefficients is None
+
+
+def test_constant_group_chain_builds_no_square_add_table(monkeypatch):
+    built = []
+
+    def recording(group):
+        built.append(group.order)
+        return _add_table(group)
+
+    for name in ("groups", "polynomials", "elimination", "kernels", "measures",
+                 "characterizers"):
+        monkeypatch.setattr(f"qchar.{name}._add_table", recording)
+    g = FiniteAbelianGroup((64,))
+    problem = EliminationProblem(
+        terms=[(GroupFunction(g, np.full(64, 0.7)), Automorphism.multiplication(g, 1)),
+               (GroupFunction(g, np.full(64, -0.2)), Automorphism.multiplication(g, 3))],
+        r_degree=0,
+    )
+    trace = run_pexider_chain(problem)
+    assert trace.cross_degree == 0 and trace.p_degree == 0
+    assert 64 in built
+    assert 64 * 64 not in built
