@@ -31,6 +31,7 @@ from .groups import (
     GroupElement,
     Subgroup,
     _add_table,
+    _characters,
     _neg_table,
     adjoint,
     annihilator,
@@ -75,17 +76,17 @@ def _square_group(group: FiniteAbelianGroup) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(group.orders + group.orders)
 
 
-def _char_rows(group: FiniteAbelianGroup) -> np.ndarray:
-    """Row x = transform of the point mass at x."""
-    return kernels.dft_many(group, np.eye(group.order))
-
-
 def _locate_character(group: FiniteAbelianGroup, values: np.ndarray,
                       tol: float = CHECK_TOL):
-    rows = _char_rows(group)
-    errs = np.abs(rows - np.asarray(values)[None, :]).max(axis=1)
-    best = int(np.argmin(errs))
-    if errs[best] > tol:
+    """The x with <x, .> = values within tol, or None.
+
+    If some x matches within a small tol, the inverse transform of the
+    values peaks at x, so that one row of the character table decides.
+    """
+    values = np.asarray(values)
+    best = int(np.argmax(np.abs(kernels.dft(group, values, sign=-1))))
+    row = _characters(group, [best], np.arange(group.order))[0]
+    if np.abs(row - values).max() > tol:
         return None
     return GroupElement(group.coords(best))
 
@@ -557,9 +558,9 @@ def kb_factorize(inst: KBInstance, tol: float = CHECK_TOL) -> KBFactorization:
     add_t = np.asarray(_add_table(group), dtype=np.int64)
     neg_t = np.asarray(_neg_table(group), dtype=np.int64)
     shift = int(add_t[group.as_index(x1.coords), neg_t[group.as_index(x2.coords)]])
-    chars = _char_rows(group)
+    char = _characters(group, [shift], np.arange(group.order))[0]
     rel = float(np.abs(np.asarray(inst.cf1.values)
-                       - np.asarray(inst.cf2.values) * chars[shift]).max())
+                       - np.asarray(inst.cf2.values) * char).max())
     shift_relation = {"holds": bool(rel <= tol), "residual": rel,
                       "shift": list(group.coords(shift))}
     return KBFactorization(

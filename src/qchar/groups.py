@@ -205,6 +205,11 @@ def phase_matrix(group: FiniteAbelianGroup, xs: np.ndarray, ys: np.ndarray) -> n
     return (a @ b.T) % group.exponent
 
 
+def _characters(group: FiniteAbelianGroup, xs, ys) -> np.ndarray:
+    """Pairing values <x, y> for index arrays xs, ys, from exact integer phases."""
+    return np.exp(2j * np.pi * phase_matrix(group, xs, ys) / group.exponent)
+
+
 def pairing(group: FiniteAbelianGroup, x, y) -> complex:
     """Value of the duality pairing <x, y> on the unit circle."""
     p = phase_matrix(group, np.array([group.as_index(x)]), np.array([group.as_index(y)]))

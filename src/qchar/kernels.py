@@ -1,155 +1,46 @@
-"""Hot numeric kernels: direct O(|G|^2) Fourier transforms and convolution.
+"""Fourier transforms and convolution on products of cyclic groups.
 
-Two interchangeable backends compute the same quantities:
-
-* ``numba`` -- @njit loops with pairing phases generated on the fly, no
-  quadratic tables in memory;
-* ``numpy`` -- blocked character-table construction plus BLAS matmul.
-
-Selection: environment variable ``QCHAR_BACKEND`` in {"auto", "numba",
-"numpy"}; "auto" (default) picks numba when importable.  ``set_backend``
-overrides at runtime (used by tests and the benchmark script).
-Transforms are direct summations by design; no FFT factorization.
+The pairing <x, y> = exp(2 pi i sum_j x_j y_j / n_j) factors over the cyclic
+axes, so on a vector stored row-major over ``group.orders`` the transform
+sum_x <x, y>^sign f(x) is a multidimensional DFT: numpy's unnormalized
+``ifft`` along every axis for sign +1 and ``fft`` for sign -1.  Convolution
+multiplies ``rfft`` spectra.  Everything runs in O(|G| log |G|) per row and
+allocates nothing of size |G| x |G|; the trivial group is treated as Z_1.
+Exact integer pairing questions stay with ``groups.phase_matrix``.
 """
 
 from __future__ import annotations
 
-import os
-from functools import lru_cache
-
 import numpy as np
 
 from .errors import GroupMismatchError
-from .groups import (
-    FiniteAbelianGroup,
-    _add_table,
-    _coords_table,
-    _neg_table,
-    _phase_weights,
-    _strides,
-    phase_matrix,
-)
+from .groups import FiniteAbelianGroup
 
-try:
-    from numba import njit, prange
+__all__ = ["HAS_NUMBA", "active_backend", "dft", "dft_many", "convolve"]
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-    prange = range
-
-__all__ = ["HAS_NUMBA", "active_backend", "set_backend", "dft", "dft_many", "convolve"]
-
-_njit_kwargs = {"cache": True, "nogil": True}
-
-# char tables above this element count are rebuilt blockwise per call
-_TABLE_CAP = 2048
-
-
-def _resolve(name: str) -> str:
-    name = (name or "auto").lower()
-    if name not in {"auto", "numba", "numpy"}:
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if name == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return name
-
-
-_backend = _resolve(os.environ.get("QCHAR_BACKEND", "auto"))
+# One numpy path; both names remain for environment stamps.
+HAS_NUMBA = False
 
 
 def active_backend() -> str:
-    return _backend
-
-
-def set_backend(name: str | None) -> str:
-    """Override the backend; returns the previous one."""
-    global _backend
-    prev = _backend
-    _backend = _resolve(name or "auto")
-    return prev
-
-
-@lru_cache(maxsize=8)
-def _omega(L: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(L) / L)
-
-
-@lru_cache(maxsize=2)
-def _char_table(group: FiniteAbelianGroup) -> np.ndarray:
-    """Full symmetric character table; only cached for modest orders."""
-    return _char_block(group, np.arange(group.order))
-
-
-def _char_block(group: FiniteAbelianGroup, rows: np.ndarray) -> np.ndarray:
-    phases = phase_matrix(group, rows, np.arange(group.order))
-    return _omega(group.exponent)[phases]
-
-
-@njit(**_njit_kwargs)
-def _dft_kernel(mat, coords, weights, L, omega, out):  # pragma: no cover - jit
-    n, k = coords.shape
-    m = mat.shape[0]
-    for y in range(n):
-        for x in range(n):
-            p = 0
-            for j in range(k):
-                p = (p + coords[x, j] * coords[y, j] * weights[j]) % L
-            w = omega[p]
-            for r in range(m):
-                out[r, y] += w * mat[r, x]
-
-
-@njit(**_njit_kwargs)
-def _convolve_kernel(p, q, coords, orders, strides, out):  # pragma: no cover - jit
-    n, k = coords.shape
-    for i in range(n):
-        for j in range(n):
-            idx = 0
-            for t in range(k):
-                d = coords[i, t] - coords[j, t]
-                if d < 0:
-                    d += orders[t]
-                idx += d * strides[t]
-            out[i] += p[j] * q[idx]
+    return "numpy"
 
 
 def dft_many(group: FiniteAbelianGroup, mat: np.ndarray, sign: int = 1) -> np.ndarray:
     """Row-wise transform out[r, y] = sum_x <x, y>^sign mat[r, x]."""
-    mat = np.ascontiguousarray(np.asarray(mat, dtype=np.complex128))
+    mat = np.asarray(mat, dtype=np.complex128)
     if mat.ndim != 2 or mat.shape[1] != group.order:
         raise GroupMismatchError(
             f"matrix shape {mat.shape} does not match group order {group.order}"
         )
-    n = group.order
-    if _backend == "numba":
-        omega = _omega(group.exponent)
+    shape = group.orders or (1,)
+    out = mat.reshape((mat.shape[0],) + shape)
+    for axis in range(1, len(shape) + 1):
         if sign < 0:
-            omega = omega.conj()
-        out = np.zeros_like(mat)
-        _dft_kernel(mat, _coords_table(group), _phase_weights(group), group.exponent, omega, out)
-        return out
-    if n <= _TABLE_CAP:
-        table = _char_table(group)
-        return mat @ (table.conj() if sign < 0 else table)
-    out = np.empty_like(mat)
-    step = max(1, (1 << 21) // n)
-    for lo in range(0, n, step):
-        rows = np.arange(lo, min(n, lo + step))
-        block = _char_block(group, rows)
-        if sign < 0:
-            block = block.conj()
-        out[:, lo : lo + rows.size] = mat @ block.T
-    return out
+            out = np.fft.fft(out, axis=axis)
+        else:
+            out = np.fft.ifft(out, axis=axis, norm="forward")
+    return out.reshape(mat.shape)
 
 
 def dft(group: FiniteAbelianGroup, vec: np.ndarray, sign: int = 1) -> np.ndarray:
@@ -158,21 +49,17 @@ def dft(group: FiniteAbelianGroup, vec: np.ndarray, sign: int = 1) -> np.ndarray
 
 def convolve(group: FiniteAbelianGroup, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Additive convolution (p * q)[x] = sum_y p[y] q[x - y]."""
-    p = np.ascontiguousarray(np.asarray(p, dtype=np.float64))
-    q = np.ascontiguousarray(np.asarray(q, dtype=np.float64))
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
     n = group.order
     if p.shape != (n,) or q.shape != (n,):
         raise GroupMismatchError("operand length does not match group order")
-    if _backend == "numba":
-        orders = np.asarray(group.orders, dtype=np.int64)
-        out = np.zeros(n, dtype=np.float64)
-        _convolve_kernel(p, q, _coords_table(group), orders, _strides(group), out)
-        return out
-    add = _add_table(group)
-    neg = _neg_table(group)
-    out = np.empty(n, dtype=np.float64)
-    step = max(1, (1 << 21) // n)
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        out[lo:hi] = q[add[lo:hi][:, neg]] @ p
-    return out
+    shape = group.orders or (1,)
+    # rfft halves the last axis; the other axes take full complex transforms.
+    spec = np.fft.rfft(np.stack((p, q)).reshape((2,) + shape))
+    for axis in range(1, len(shape)):
+        spec = np.fft.fft(spec, axis=axis)
+    prod = spec[0] * spec[1]
+    for axis in range(len(shape) - 1):
+        prod = np.fft.ifft(prod, axis=axis)
+    return np.fft.irfft(prod, n=shape[-1]).reshape(n)

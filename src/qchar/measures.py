@@ -24,6 +24,7 @@ from .groups import (
     GroupHom,
     Subgroup,
     _add_table,
+    _characters,
     _neg_table,
     annihilator,
 )
@@ -112,7 +113,7 @@ class CharacteristicFunction:
 
 
 def char_fn(dist: Distribution) -> CharacteristicFunction:
-    """Direct-summation Fourier transform of the distribution."""
+    """Fourier transform of the distribution."""
     values = kernels.dft(dist.group, dist.probs.astype(np.complex128))
     return CharacteristicFunction(dist.group, values)
 
@@ -207,9 +208,12 @@ def idempotent_shift_factor(dist: Distribution, tol: float = _PD_TOL):
         N = Subgroup(group, tuple(int(i) for i in N_idx))
     except Exception:
         return None
-    chars = kernels.dft_many(group, np.eye(group.order, dtype=np.complex128))
-    errs = np.abs(chars[:, N_idx] - f[N_idx]).max(axis=1)
-    hits = np.where(errs <= tol)[0]
+    # A matching x has |inverse transform of f on N| near |N| at x; by
+    # Parseval at most 4 |G| / |N| rows clear |N| / 2, so only those are built.
+    spec = np.abs(kernels.dft(group, np.where(mods > 0.5, f, 0), sign=-1))
+    rows = np.where(spec > N.order / 2)[0]
+    errs = np.abs(_characters(group, rows, N_idx) - f[N_idx]).max(axis=1)
+    hits = rows[errs <= tol]
     if hits.size == 0:
         return None
     x = int(hits[0])

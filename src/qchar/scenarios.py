@@ -9,6 +9,7 @@ scenario's expectation to decide the process exit code.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -127,7 +128,13 @@ def _parse_number(x, where: str) -> float:
         except (ValueError, ZeroDivisionError) as exc:
             raise ScenarioFormatError(f"{where}: bad rational literal {x!r}") from exc
     if isinstance(x, (int, float)):
-        return float(x)
+        try:
+            value = float(x)
+        except OverflowError as exc:
+            raise ScenarioFormatError(f"{where}: {x!r} overflows a float") from exc
+        if not math.isfinite(value):
+            raise ScenarioFormatError(f"{where}: expected a finite number, got {x!r}")
+        return value
     raise ScenarioFormatError(f"{where}: expected number or rational string")
 
 
@@ -139,18 +146,35 @@ def _parse_int(x, where: str) -> int:
     raise ScenarioFormatError(f"{where}: expected an integer, got {x!r}")
 
 
+def _parse_list(x, where: str) -> list:
+    if not isinstance(x, list):
+        raise ScenarioFormatError(f"{where}: expected a list, got {x!r}")
+    return x
+
+
+def _parse_coords(x, where: str) -> tuple[int, ...]:
+    return tuple(_parse_int(c, f"{where}[{j}]") for j, c in enumerate(_parse_list(x, where)))
+
+
+def _parse_points(x, where: str) -> list[tuple[int, ...]]:
+    return [_parse_coords(c, f"{where}[{i}]") for i, c in enumerate(_parse_list(x, where))]
+
+
+def _parse_numbers(x, where: str) -> np.ndarray:
+    return np.asarray([_parse_number(v, f"{where}[{i}]")
+                       for i, v in enumerate(_parse_list(x, where))])
+
+
 def parse_subgroup(group: FiniteAbelianGroup, spec, where: str = "subgroup") -> Subgroup:
     if not isinstance(spec, dict):
         raise ScenarioFormatError(f"{where}: expected an object")
     try:
         if "generators" in spec:
             return Subgroup.from_generators(
-                group, [tuple(int(c) for c in g) for g in spec["generators"]]
-            )
+                group, _parse_points(spec["generators"], f"{where}.generators"))
         if "elements" in spec:
-            idx = tuple(sorted(group.as_index(tuple(int(c) for c in e))
-                               for e in spec["elements"]))
-            return Subgroup(group, idx)
+            points = _parse_points(spec["elements"], f"{where}.elements")
+            return Subgroup(group, tuple(sorted(group.as_index(c) for c in points)))
     except QcharError as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
     raise ScenarioFormatError(f"{where}: need 'generators' or 'elements'")
@@ -161,18 +185,18 @@ def parse_distribution(group: FiniteAbelianGroup, spec, where: str = "distributi
         raise ScenarioFormatError(f"{where}: expected an object")
     try:
         if "probs" in spec:
-            probs = np.asarray([_parse_number(p, where) for p in spec["probs"]])
+            probs = _parse_numbers(spec["probs"], f"{where}.probs")
             return Distribution(group, probs)
         kind = spec.get("kind")
         if kind == "degenerate":
-            return degenerate(group, tuple(int(c) for c in _need(spec, "point", where)))
+            return degenerate(group, _parse_coords(_need(spec, "point", where), f"{where}.point"))
         if kind == "haar":
             if "subgroup" in spec:
-                return haar(parse_subgroup(group, spec["subgroup"], where))
+                return haar(parse_subgroup(group, spec["subgroup"], f"{where}.subgroup"))
             return haar(Subgroup.full(group))
         if kind == "shifted-haar":
-            sub = parse_subgroup(group, _need(spec, "subgroup", where), where)
-            point = tuple(int(c) for c in _need(spec, "point", where))
+            sub = parse_subgroup(group, _need(spec, "subgroup", where), f"{where}.subgroup")
+            point = _parse_coords(_need(spec, "point", where), f"{where}.point")
             return shifted_haar(group, point, sub)
     except ScenarioFormatError:
         raise
@@ -182,17 +206,16 @@ def parse_distribution(group: FiniteAbelianGroup, spec, where: str = "distributi
 
 
 def parse_hom(group: FiniteAbelianGroup, spec, where: str = "hom") -> GroupHom:
-    if isinstance(spec, int):
-        spec = {"scalar": spec}
-    if not isinstance(spec, dict):
-        raise ScenarioFormatError(f"{where}: expected an object or integer scalar")
     try:
+        if not isinstance(spec, dict):
+            return multiplication_map(group, _parse_int(spec, where))
         if "scalar" in spec:
-            return multiplication_map(group, int(spec["scalar"]))
+            return multiplication_map(group, _parse_int(spec["scalar"], f"{where}.scalar"))
         if "matrix" in spec:
-            return GroupHom.from_matrix(group, group, spec["matrix"])
+            rows = _parse_points(spec["matrix"], f"{where}.matrix")
+            return GroupHom.from_matrix(group, group, rows)
         if "table" in spec:
-            return GroupHom(group, group, tuple(int(t) for t in spec["table"]))
+            return GroupHom(group, group, _parse_coords(spec["table"], f"{where}.table"))
     except QcharError as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
     raise ScenarioFormatError(f"{where}: need 'scalar', 'matrix' or 'table'")
@@ -211,12 +234,13 @@ def parse_joint(group: FiniteAbelianGroup, spec, where: str = "joint") -> JointD
         raise ScenarioFormatError(f"{where}: expected an object")
     try:
         if spec.get("kind") == "product":
-            factors = [parse_distribution(group, f, where)
-                       for f in _need(spec, "factors", where)]
+            factors = _parse_list(_need(spec, "factors", where), f"{where}.factors")
+            factors = [parse_distribution(group, f, f"{where}.factors[{i}]")
+                       for i, f in enumerate(factors)]
             return product_joint(factors)
         if "probs" in spec:
             arity = int(spec.get("arity", 2))
-            probs = np.asarray([_parse_number(p, where) for p in spec["probs"]])
+            probs = _parse_numbers(spec["probs"], f"{where}.probs")
             return JointDistribution((group,) * arity, probs)
     except ScenarioFormatError:
         raise
@@ -235,7 +259,12 @@ def parse_window_values(spec, where: str = "window") -> WindowFunction:
     except QcharError as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
     if "values" in spec:
-        vals = np.asarray(spec["values"], dtype=np.float64)
+        try:
+            vals = np.asarray(spec["values"], dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise ScenarioFormatError(f"{where}.values: {exc}") from exc
+        if not np.isfinite(vals).all():
+            raise ScenarioFormatError(f"{where}.values: expected finite numbers")
         try:
             return WindowFunction(win, vals)
         except QcharError as exc:
@@ -314,7 +343,7 @@ def _run_group_inspect(payload: dict, tol: float) -> tuple[str, dict]:
 
 def _run_q_witness(payload: dict, tol: float) -> tuple[str, dict]:
     group = parse_group(_need(payload, "group", "q-witness"))
-    joint = parse_joint(group, _need(payload, "joint", "q-witness"))
+    joint = parse_joint(group, _need(payload, "joint", "q-witness"), "q-witness.joint")
     witness = extract_q_witness(joint)
     details = {"witness": _witness_dict(witness)}
     want = bool(payload.get("expect_witness", True))
@@ -332,8 +361,8 @@ def _run_sd(payload: dict, tol: float) -> tuple[str, dict]:
         where = f"sd.components[{i}]"
         dist = parse_distribution(group, _need(comp, "distribution", where), where)
         cfs.append(char_fn(dist))
-        alphas.append(parse_automorphism(group, _need(comp, "alpha", where), where))
-        betas.append(parse_automorphism(group, _need(comp, "beta", where), where))
+        alphas.append(parse_automorphism(group, _need(comp, "alpha", where), f"{where}.alpha"))
+        betas.append(parse_automorphism(group, _need(comp, "beta", where), f"{where}.beta"))
     inst = SDInstance(group, tuple(cfs), tuple(alphas), tuple(betas))
     try:
         con = sd_conclude(inst, tol=tol)
@@ -446,13 +475,12 @@ def _run_pexider_chain(payload: dict, tol: float) -> tuple[str, dict]:
         terms = []
         for i, t in enumerate(terms_spec):
             where = f"pexider-chain.terms[{i}]"
-            vals = np.asarray([_parse_number(v, where)
-                               for v in _need(t, "values", where)])
+            vals = _parse_numbers(_need(t, "values", where), f"{where}.values")
             try:
                 psi = GroupFunction(group, vals)
             except QcharError as exc:
                 raise ScenarioFormatError(f"{where}: {exc}") from exc
-            terms.append((psi, parse_automorphism(group, _need(t, "b", where), where)))
+            terms.append((psi, parse_automorphism(group, _need(t, "b", where), f"{where}.b")))
         problem = EliminationProblem(terms=tuple(terms), r_degree=l)
     else:
         terms = []
@@ -477,10 +505,8 @@ def _run_heyde_chain(payload: dict, tol: float) -> tuple[str, dict]:
     l = _parse_int(payload.get("r_degree", 0), "heyde-chain.r_degree")
     if "group" in payload:
         group = parse_group(payload["group"])
-        vals1 = np.asarray([_parse_number(v, "heyde-chain.psi1")
-                            for v in _need(payload, "psi1", "heyde-chain")])
-        vals2 = np.asarray([_parse_number(v, "heyde-chain.psi2")
-                            for v in _need(payload, "psi2", "heyde-chain")])
+        vals1 = _parse_numbers(_need(payload, "psi1", "heyde-chain"), "heyde-chain.psi1")
+        vals2 = _parse_numbers(_need(payload, "psi2", "heyde-chain"), "heyde-chain.psi2")
         try:
             psi1 = GroupFunction(group, vals1)
             psi2 = GroupFunction(group, vals2)
@@ -509,11 +535,19 @@ def _run_heyde_chain(payload: dict, tol: float) -> tuple[str, dict]:
 
 def _run_circle_construct(payload: dict, tol: float) -> tuple[str, dict]:
     phi = parse_even_poly(_need(payload, "phi", "circle-construct"))
+    phi2 = None
+    if "pair_phi" in payload:
+        phi2 = parse_even_poly(payload["pair_phi"], "circle-construct.pair_phi")
     trunc = payload.get("min_truncation")
-    trunc = int(trunc) if trunc is not None else None
+    if trunc is not None:
+        trunc = _parse_int(trunc, "circle-construct.min_truncation")
     try:
         dist = exp_poly_distribution(phi, min_truncation=trunc)
+        dist2 = None if phi2 is None else exp_poly_distribution(phi2, min_truncation=trunc)
     except ConstructionRejectedError as exc:
+        if exc.computed_sum is not None and not math.isfinite(exc.computed_sum):
+            # a divergent coefficient sum has no gate value to report
+            return "fail", {"reason": str(exc)}
         return "hypothesis-violated", {
             "reason": str(exc),
             "gate_sum": _opt(exc.computed_sum),
@@ -526,10 +560,9 @@ def _run_circle_construct(payload: dict, tol: float) -> tuple[str, dict]:
         "truncation": dist.truncation,
         "tail_bound": dist.tail_bound,
     }
-    if "pair_phi" in payload:
-        phi2 = parse_even_poly(payload["pair_phi"], "circle-construct.pair_phi")
-        dist2 = exp_poly_distribution(phi2, min_truncation=trunc)
-        radius = int(payload.get("radius", min(dist.truncation, dist2.truncation) // 2))
+    if dist2 is not None:
+        radius = _parse_int(payload.get("radius", min(dist.truncation, dist2.truncation) // 2),
+                            "circle-construct.radius")
         sj = sum_difference_joint(dist, dist2, radius)
         witness = extract_q_witness(sj)
         details["witness"] = _witness_dict(witness)

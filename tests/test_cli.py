@@ -129,6 +129,63 @@ def test_group_chain_over_size_cap_is_a_fail_verdict():
         assert "exceeds the exhaustive-operation cap" in rep["details"]["reason"]
 
 
+@pytest.mark.parametrize("edit, where", [
+    (lambda p: p["alpha"].update(scalar=2.5), "heyde.alpha.scalar"),
+    (lambda p: p["alpha"].update(scalar="2"), "heyde.alpha.scalar"),
+    (lambda p: p["alpha"].update(scalar=True), "heyde.alpha.scalar"),
+    (lambda p: p.update(alpha={"table": [0, 2, 4, 1, 3.0001]}), "heyde.alpha.table[4]"),
+    (lambda p: p["joint"]["factors"][0].update(point=["3"]),
+     "heyde.joint.factors[0].point[0]"),
+])
+def test_run_bad_hom_integer_exits_two(tmp_path, capsys, edit, where):
+    scn = json.load(open(DATA / "heyde_pass.json"))
+    edit(scn["payload"])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scn))
+    code, out, err = run_cli(["run", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"invalid input: {where}" in err
+
+
+def test_run_bad_subgroup_coordinate_exits_two(tmp_path, capsys):
+    doc = json.load(open(DATA / "kb_and_circle.json"))
+    scn = doc["scenarios"][0]
+    scn["payload"]["first"]["subgroup"]["generators"] = [[2.5]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(scn))
+    code, out, err = run_cli(["run", path], capsys)
+    assert code == 2
+    assert "invalid input: kb.first.subgroup.generators[0][0]" in err
+
+
+def test_run_non_finite_probability_exits_two(tmp_path, capsys):
+    scn = {"schema": "qchar-scenario-1", "kind": "q-witness", "payload": {
+        "group": {"orders": [2]}, "joint": {"probs": [math.nan, 0.25, 0.25, 0.25]}}}
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(scn))
+    assert "NaN" in path.read_text()
+    code, out, err = run_cli(["run", path], capsys)
+    assert code == 2
+    assert out == ""
+    assert "invalid input: q-witness.joint.probs[0]" in err
+
+
+@pytest.mark.parametrize("key", ["phi", "pair_phi"])
+def test_non_summable_construction_is_a_fail_verdict(tmp_path, capsys, key):
+    payload = {"phi": {"even_coeffs": {"4": 1.0}}, "pair_phi": {"even_coeffs": {"4": 1.0}}}
+    payload[key] = {"even_coeffs": {"2": -1.0}}
+    scn = {"schema": "qchar-scenario-1", "kind": "circle-construct", "expect": "fail",
+           "payload": payload}
+    path = tmp_path / "diverges.json"
+    path.write_text(json.dumps(scn))
+    code, out, err = run_cli(["run", path], capsys)
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["verdict"] == "fail"
+    assert "diverges" in rep["details"]["reason"]
+
+
 def test_run_multi_scenario_order_and_worker_determinism(capsys):
     args = ["run", DATA / "full_surface.json", "--workers", "3"]
     code1, out1, _ = run_cli(args, capsys)

@@ -1,8 +1,19 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from qchar.groups import FiniteAbelianGroup, Subgroup, annihilator
-from qchar.kernels import HAS_NUMBA, active_backend, convolve, dft, dft_many, set_backend
+from qchar.groups import (
+    FiniteAbelianGroup,
+    Subgroup,
+    _add_table,
+    _coords_table,
+    _strides,
+    annihilator,
+    groups_up_to_order,
+    phase_matrix,
+)
+from qchar.kernels import convolve, dft, dft_many
 
 GROUPS = [
     FiniteAbelianGroup((5,)),
@@ -79,25 +90,36 @@ def test_haar_indicator_via_transform():
     assert np.max(np.abs(hat - ind)) < 1e-12
 
 
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba unavailable")
-def test_backend_equivalence(rng):
-    g = FiniteAbelianGroup((4, 9))
-    p = random_prob(rng, g.order)
-    q = random_prob(rng, g.order)
-    prev = set_backend("numpy")
+SIGNATURES = groups_up_to_order(64, include_trivial=True)
+
+
+@pytest.mark.parametrize("g", SIGNATURES, ids=lambda g: str(g.orders))
+def test_fft_matches_direct_sums(g, rng):
+    n = g.order
+    chars = np.exp(2j * np.pi * phase_matrix(g, np.arange(n), np.arange(n)) / g.exponent)
+    mat = rng.random((3, n)) + 1j * rng.random((3, n))
+    assert np.max(np.abs(dft_many(g, mat) - mat @ chars)) < 1e-12
+    assert np.max(np.abs(dft_many(g, mat, sign=-1) - mat @ chars.conj())) < 1e-12
+    coords = _coords_table(g)
+    diff = (coords[:, None, :] - coords[None, :, :]) % np.asarray(g.orders, dtype=np.int64)
+    p, q = random_prob(rng, n), random_prob(rng, n)
+    direct = (q[diff @ _strides(g)] * p[None, :]).sum(axis=1)
+    assert np.max(np.abs(convolve(g, p, q) - direct)) < 1e-12
+
+
+def test_order_4096_transforms_build_no_quadratic_tables(rng):
+    g = FiniteAbelianGroup((4096,))
+    mat = rng.random((4, g.order)).astype(np.complex128)
+    p, q = random_prob(rng, g.order), random_prob(rng, g.order)
+    before = _add_table.cache_info()
+    tracemalloc.start()
     try:
-        hat_np = dft(g, p)
-        conv_np = convolve(g, p, q)
-        set_backend("numba")
-        hat_nb = dft(g, p)
-        conv_nb = convolve(g, p, q)
+        dft_many(g, mat)
+        dft_many(g, mat, sign=-1)
+        convolve(g, p, q)
+        peak = tracemalloc.get_traced_memory()[1]
     finally:
-        set_backend(prev)
-    assert np.max(np.abs(hat_np - hat_nb)) < 1e-12
-    assert np.max(np.abs(conv_np - conv_nb)) < 1e-12
-
-
-def test_set_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        set_backend("gpu")
-    assert active_backend() in {"numba", "numpy"}
+        tracemalloc.stop()
+    assert _add_table.cache_info() == before
+    # the smallest 4096 x 4096 table (one byte per entry) would be 16 MiB
+    assert peak < g.order * g.order

@@ -225,8 +225,7 @@ def test_constant_group_chain_builds_no_square_add_table(monkeypatch):
         built.append(group.order)
         return _add_table(group)
 
-    for name in ("groups", "polynomials", "elimination", "kernels", "measures",
-                 "characterizers"):
+    for name in ("groups", "polynomials", "elimination", "measures", "characterizers"):
         monkeypatch.setattr(f"qchar.{name}._add_table", recording)
     g = FiniteAbelianGroup((64,))
     problem = EliminationProblem(
