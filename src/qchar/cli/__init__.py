@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import jsonschema
 
-from .scenarios import (
+from ..scenarios import (
     SCENARIO_KINDS,
     SWEEP_KINDS,
     ScenarioFormatError,
@@ -267,6 +267,3 @@ def main(argv=None) -> int:
         print(f"qchar: invalid input: {exc}", file=sys.stderr)
         return 2
 
-
-if __name__ == "__main__":
-    sys.exit(main())

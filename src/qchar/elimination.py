@@ -2,17 +2,26 @@
 
 Input is an identity sum_j psi_j(a_j u + c_j v) = P(u) + Q(v) + R(u, v) on
 a square domain (G x G for a finite group, [-N, N]^2 for integer windows)
-with a declared cross-term degree l.  The chain picks substitution pairs
-that cancel one term at a time, removes Q with a pure-u shift, annihilates
-R with an (l+1)-fold repeated pair difference, and is left with an iterated
-difference of P alone, which must vanish.  Every step is executed
-numerically and the residuals recorded in a replayable trace.
+with a declared cross-term degree l.  Pexider's distinct-coefficient
+identity has (a_j, c_j) = (1, b_j); Heyde's conditional-symmetry identity is
+the two-term case (1+b, 2), (2b, 1+b).  One driver runs both: for every
+swept shift h it cancels term j with the pair (h, -c_j^-1(a_j h)), removes Q
+with (h, 0) and annihilates R with the (l+1)-fold pair difference along
+(h, -h).  What is left is the (l+n+2)-fold difference of P along h, which
+must vanish.  Every residual is recorded in a replayable trace.
+
+The chain runs in pull-back form: D_(s,t)[psi o (a u + c v)] equals
+(D_(a s + c t) psi) o (a u + c v) entry for entry, with the same two
+operands.  So the terms, P and Q are differenced on the base domain and only
+R on the square; the terms meet the square once, in the premise check.  The
+P difference gives two residuals: ``direct`` is its peak, ``collapse`` its
+peak over the u-range the shrunk square still covers (all of G on a group).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -30,11 +39,14 @@ from .groups import (
     multiplication_map,
 )
 from .polynomials import (
+    GROUP_POLY_TOL,
     GroupFunction,
     IntegerWindow,
     WindowFunction,
     delta,
     min_degree,
+    peak,
+    within,
 )
 
 __all__ = [
@@ -80,26 +92,9 @@ class EliminationTrace:
     degree_bound_ok: bool = False
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "term_count": self.term_count,
-            "declared_degree": self.declared_degree,
-            "certified_order": self.certified_order,
-            "premise_residual": self.premise_residual,
-            "cross_degree": self.cross_degree,
-            "steps": [
-                {"label": s.label, "shift": list(s.shift), "cancelled": s.cancelled,
-                 "max_after": s.max_after}
-                for s in self.steps
-            ],
-            "sweep": self.sweep,
-            "annihilation_residual": self.annihilation_residual,
-            "collapse_residual": self.collapse_residual,
-            "direct_residual": self.direct_residual,
-            "p_degree": self.p_degree,
-            "degree_bound": self.degree_bound,
-            "degree_bound_ok": self.degree_bound_ok,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        out["steps"] = [{**asdict(s), "shift": list(s.shift)} for s in self.steps]
+        return out
 
 
 @dataclass(eq=False)
@@ -130,6 +125,10 @@ class EliminationProblem:
                     raise GroupMismatchError("all terms must live on one group")
                 if not isinstance(b, Automorphism) or b.source != self.domain:
                     raise GroupMismatchError("coefficients must be automorphisms of the domain")
+            n = self.domain.order
+            for fn, size in ((self.P, n), (self.Q, n), (self.R, n * n)):
+                if fn is not None and np.size(fn.values) != size:
+                    raise GroupMismatchError("P and Q must be tabulated on G and R on G x G")
         else:
             self.domain = None
             for p, b in self.terms:
@@ -137,71 +136,6 @@ class EliminationProblem:
                     raise GroupMismatchError("window terms must be dim-1 window functions")
                 if int(b) == 0:
                     raise KernelConditionError("zero coefficient is not invertible")
-
-
-# ---- square-domain helpers ----------------------------------------------
-
-
-class _GroupSquare:
-    """Functions on G x G as flat arrays with index-permutation shifts."""
-
-    def __init__(self, group: FiniteAbelianGroup):
-        self.group = group
-        self.n = group.order
-        self.add = np.asarray(_add_table(group), dtype=np.int64)
-
-    def compose(self, psi: np.ndarray, a_tab: np.ndarray, c_tab: np.ndarray) -> np.ndarray:
-        return psi[self.add[np.ix_(a_tab, c_tab)]].ravel()
-
-    def from_u(self, p: np.ndarray) -> np.ndarray:
-        return np.repeat(p, self.n)
-
-    def from_v(self, q: np.ndarray) -> np.ndarray:
-        return np.tile(q, self.n)
-
-    def shift_perm(self, s: int, t: int) -> np.ndarray:
-        return (self.add[:, s][:, None] * self.n + self.add[:, t][None, :]).ravel()
-
-    def delta(self, arr: np.ndarray, s: int, t: int) -> np.ndarray:
-        return arr[self.shift_perm(s, t)] - arr
-
-    @staticmethod
-    def peak(arr) -> float:
-        return float(np.abs(arr).max(initial=0.0))
-
-
-class _WindowSquare:
-    """Functions on [-N, N]^2 as dim-2 window functions."""
-
-    def __init__(self, radius: int):
-        self.radius = radius
-        self.win = IntegerWindow(radius, 2)
-        u = np.arange(-radius, radius + 1)
-        self.grid_u = u[:, None]
-        self.grid_v = u[None, :]
-
-    def compose(self, psi: WindowFunction, a: int, c: int) -> WindowFunction:
-        need = (abs(a) + abs(c)) * self.radius
-        if psi.window.radius < need:
-            raise WindowExhaustedError(
-                f"term data radius {psi.window.radius} below required {need}"
-            )
-        idx = a * self.grid_u + c * self.grid_v + psi.window.radius
-        return WindowFunction(self.win, np.asarray(psi.values)[idx])
-
-    def from_u(self, p: WindowFunction) -> WindowFunction:
-        return self.compose(p, 1, 0)
-
-    def from_v(self, q: WindowFunction) -> WindowFunction:
-        return self.compose(q, 0, 1)
-
-    @staticmethod
-    def delta(fn: WindowFunction, s: int, t: int) -> WindowFunction:
-        return delta(fn, (s, t))
-
-    @staticmethod
-    def peak(fn: WindowFunction) -> float:
-        return float(np.abs(np.asarray(fn.values)).max(initial=0.0))
 
 
 def substitute_and_subtract(F, shift):
@@ -220,172 +154,241 @@ def substitute_and_subtract(F, shift):
             raise GroupMismatchError("square-domain group must have even rank")
         half = FiniteAbelianGroup(F.group.orders[: k // 2])
         s, t = shift
-        coords = tuple(half.reduce_coords(half.coords(half.as_index(s)))) + tuple(
-            half.reduce_coords(half.coords(half.as_index(t)))
-        )
-        return delta(F, F.group.index(coords))
+        return delta(F, half.as_index(s) * half.order + half.as_index(t))
     raise TypeError(f"unsupported square function {type(F).__name__}")
+
+
+# ---- domains --------------------------------------------------------------
+#
+# A domain keeps functions on the base domain as 1-d float arrays and on the
+# square as 2-d arrays.  Coefficients are endomorphism index tables on a group
+# and integers on a window; ``one`` and ``zero`` are the identity and the zero
+# coefficient.  Every value the chain reads is psi(a x + c y): ``lin`` forms
+# a x + c y elementwise and ``take`` reads psi there.
+
+
+def _floats(fn) -> np.ndarray:
+    return np.asarray(fn.values, dtype=np.float64)
+
+
+class _GroupDomain:
+    """G and G x G; arrays are indexed by flat group elements."""
+
+    final_tol = GROUP_FINAL_TOL
+    poly_tol = GROUP_POLY_TOL
+
+    def __init__(self, group: FiniteAbelianGroup):
+        self.group = group
+        self.add = np.asarray(_add_table(group), dtype=np.int64)
+        self.neg = np.asarray(_neg_table(group), dtype=np.int64)
+        self.one = self.points = np.arange(group.order, dtype=np.int64)
+        self.zero = np.zeros_like(self.one)
+        self.shifts = [(h, list(group.coords(h))) for h in range(1, group.order)]
+
+    def square(self, R):
+        return None if R is None else _floats(R).reshape(self.group.order, self.group.order)
+
+    def lin(self, a, c, x, y):
+        return self.add[a[x], c[y]]
+
+    @staticmethod
+    def take(psi, x):
+        return psi[x]
+
+    def cancel_shifts(self, a, c):
+        """k(h) = -c^-1(a h) for every h, so that a h + c k(h) = 0."""
+        c_inv = np.empty_like(c)
+        c_inv[c] = np.arange(c.size)
+        return [int(k) for k in self.neg[c_inv[a]]]
+
+    def diff(self, f, *shift):
+        """D_shift f on G (one shift) or on G x G (a pair)."""
+        return f[np.ix_(*(self.add[:, x] for x in shift))] - f
+
+    @staticmethod
+    def u_range(p, r):
+        return p
+
+    def function(self, values, l):
+        if values.ndim == 1:
+            return GroupFunction(self.group, values)
+        return GroupFunction(FiniteAbelianGroup(self.group.orders * 2), values.ravel())
+
+
+def _radius(f) -> int:
+    return (f.shape[0] - 1) // 2
+
+
+def _centre(f, r):
+    """The middle [-r, r] (on every axis) of a centred window array."""
+    off = _radius(f) - r
+    return f[tuple(slice(off, off + 2 * r + 1) for _ in f.shape)]
+
+
+class _WindowDomain:
+    """[-N, N] and [-N, N]^2; arrays are centred on 0 and shrink when differenced.
+
+    The sweep shifts are multiples of the lcm of the c_j, so every cancel
+    shift -a_j h / c_j is an exact integer.  A square of radius N survives
+    the chain when N >= (n+1) max_shift + (l+1) max_h + l + 2, where
+    max_shift is the largest max(|s|, |t|) over the cancel steps.
+    """
+
+    final_tol = WINDOW_FINAL_TOL
+    poly_tol = None
+    one, zero = 1, 0
+
+    def __init__(self, terms, R, l: int, shift_set):
+        base = math.lcm(*(abs(c) for *_, c in terms))
+        self.shifts = [(base * s, base * s) for s in shift_set]
+        max_h = max(abs(h) for h, _ in self.shifts)
+        max_shift = max(max(abs(h), abs(k)) for _, a, c in terms
+                        for h, k in self.cancel_shifts(a, c).items())
+        if R is not None:
+            self.radius = R.window.radius
+        else:
+            self.radius = min(_radius(psi) // (abs(a) + abs(c)) for psi, a, c in terms)
+        required = (len(terms) + 1) * max_shift + (l + 1) * max_h + l + 2
+        if self.radius < required:
+            raise WindowExhaustedError(
+                f"square radius {self.radius} below chain requirement "
+                f"(n+1)*max_shift + (l+1)*max_h + l + 2 = {required}"
+            )
+        self.points = np.arange(-self.radius, self.radius + 1)
+
+    def square(self, R):
+        if R is None:
+            return None
+        return WindowFunction(IntegerWindow(self.radius, 2), _floats(R)).values
+
+    @staticmethod
+    def lin(a, c, x, y):
+        return a * x + c * y
+
+    @staticmethod
+    def take(psi, x):
+        need = int(np.abs(x).max())
+        if _radius(psi) < need:
+            raise WindowExhaustedError(f"term data radius {_radius(psi)} below required {need}")
+        return psi[x + _radius(psi)]
+
+    def cancel_shifts(self, a, c):
+        return {h: -(a * h) // c for h, _ in self.shifts}
+
+    @staticmethod
+    def diff(f, *shift):
+        """D_shift f on the window, which shrinks by the largest |shift| entry."""
+        r = _radius(f) - max(abs(x) for x in shift)
+        off = _radius(f) - r
+        return f[tuple(slice(off + x, off + x + 2 * r + 1) for x in shift)] - _centre(f, r)
+
+    @staticmethod
+    def u_range(p, r):
+        """p on the u-range the square r still covers."""
+        return _centre(p, _radius(r))
+
+    @staticmethod
+    def function(values, l):
+        """A window function; a square one is cropped to radius 4(l+2) for its degree test."""
+        if values.ndim == 2:
+            values = _centre(values, min(_radius(values), 4 * (l + 2)))
+        return WindowFunction(IntegerWindow(_radius(values), values.ndim), values)
 
 
 # ---- chain execution ------------------------------------------------------
 
 
-def _chain_once(sq, parts, plan, cancel_tol):
-    """Apply the substitution plan; verify each declared cancellation."""
-    steps = []
-    worst_cancel = 0.0
-    for label, (s, t), dies in plan:
-        for name in list(parts):
-            parts[name] = sq.delta(parts[name], s, t)
-        after = None
-        if dies is not None:
-            after = sq.peak(parts[dies])
-            worst_cancel = max(worst_cancel, after)
-            if after > cancel_tol:
-                raise PremiseError(
-                    f"step {label} failed to cancel {dies} (residual {after:.3e})",
-                    residual=after,
-                )
-            del parts[dies]
-        steps.append(EliminationStep(label=label, shift=(s, t), cancelled=dies,
-                                     max_after=after))
-    return steps, worst_cancel
+def _at(dom, psi, a, c, x, y):
+    """psi(a x + c y) on the domain's grid."""
+    return dom.take(psi, dom.lin(a, c, x, y))
 
 
-def _run_chain(mode, base, terms_spec, P, Q, R, l, plans, h_values, final_tol,
-               direct_check):
-    """Shared driver for both chain modes; see run_* for the plan shapes."""
-    n = len(terms_spec)
-    sq = base["sq"]
-    premise_parts = {}
-    for j, (psi, a, c) in enumerate(terms_spec):
-        premise_parts[f"term{j + 1}"] = base["compose"](psi, a, c)
-    p_sq = base["from_u"](P)
-    q_sq = base["from_v"](Q)
-    ident = None
-    for part in premise_parts.values():
-        ident = part if ident is None else _combine(ident, part, 1.0)
-    ident = _combine(ident, p_sq, -1.0)
-    ident = _combine(ident, q_sq, -1.0)
-    ident = _combine(ident, R, -1.0)
-    premise_residual = sq.peak(ident)
-    if premise_residual > PREMISE_TOL:
+def _require(residual, tol, message):
+    if not within(residual, tol):
+        raise PremiseError(f"{message} (residual {residual:.3e})", residual=residual)
+
+
+def _run_chain(mode, dom, terms, P, Q, R, l, final_tol):
+    """Check the premise, sweep the elimination chain, certify deg P.
+
+    terms are (psi, a, c) with psi an array on the base domain; P and Q are
+    arrays on the base domain, R an array on the square or None (derived).
+    """
+    if final_tol is None:
+        final_tol = dom.final_tol
+    n = len(terms)
+    u, v = dom.points[:, None], dom.points[None, :]
+    total = None
+    for psi, a, c in terms:
+        part = _at(dom, psi, a, c, u, v)
+        total = part if total is None else total + part
+    remainder = total - _at(dom, P, dom.one, dom.zero, u, v)
+    remainder = remainder - _at(dom, Q, dom.zero, dom.one, u, v)
+    R = remainder if R is None else R
+    premise_residual = peak(remainder - R)
+    if not within(premise_residual, PREMISE_TOL):
         raise PremiseError(
             f"identity residual {premise_residual:.3e} exceeds {PREMISE_TOL}",
             residual=premise_residual,
         )
-    cert_fn = base["as_base_fn"](R)
-    if isinstance(cert_fn, WindowFunction):
-        cert_fn = _crop(cert_fn, 4 * (l + 2))
-    r_cert = min_degree(cert_fn, n_max=l)
+    r_cert = min_degree(dom.function(R, l), n_max=l)
     if r_cert is None:
         raise PremiseError(f"cross term fails the degree-{l} polynomial test")
-    order = l + n + 2 if mode == "pexider" else l + 4
+    order = l + n + 2
     trace = EliminationTrace(
         mode=mode, term_count=n, declared_degree=l, certified_order=order,
         premise_residual=premise_residual, cross_degree=r_cert.degree,
     )
-    worst_annihil = 0.0
-    worst_collapse = 0.0
-    worst_direct = 0.0
-    for h in h_values:
-        plan = plans(h)
-        parts = {f"term{j + 1}": base["compose"](psi, a, c)
-                 for j, (psi, a, c) in enumerate(terms_spec)}
-        parts["p"] = p_sq
-        parts["q"] = q_sq
-        parts["r"] = R
-        steps, _ = _chain_once(sq, parts, plan["steps"], cancel_tol=final_tol)
-        hc, kc = plan["collapse"]
+    # cancelled in turn: term n, ..., term 1, then Q (whose cancel shift is 0)
+    names = [(f"term{j}", f"cancel-term-{j}") for j in range(n, 0, -1)]
+    names.append(("q", "cancel-v-part"))
+    parts = terms[::-1] + [(Q, dom.zero, dom.one)]
+    cancel_shifts = [dom.cancel_shifts(a, c) for _, a, c in parts]
+    collapse_shifts = dom.cancel_shifts(dom.one, dom.one)  # (h, -h)
+    for h, label in dom.shifts:
+        live = [psi for psi, _, _ in parts]
+        p, r, steps = P, R, []
+        for i, (name, step) in enumerate(names):
+            s, t = h, cancel_shifts[i][h]
+            # part j is psi_j(a_j u + c_j v): it moves by a_j s + c_j t on the base domain
+            for j in range(i, len(parts)):
+                _, a, c = parts[j]
+                live[j] = dom.diff(live[j], dom.lin(a, c, s, t))
+            p = dom.diff(p, s)
+            r = dom.diff(r, s, t)
+            after = peak(live[i])
+            _require(after, final_tol, f"step {step} failed to cancel {name}")
+            steps.append(EliminationStep(label=step, shift=(s, t), cancelled=name,
+                                         max_after=after))
         for _ in range(l + 1):
-            for name in list(parts):
-                parts[name] = sq.delta(parts[name], hc, kc)
-        annihil = sq.peak(parts["r"])
-        collapse = sq.peak(parts["p"])
-        direct = direct_check(h)
-        worst_annihil = max(worst_annihil, annihil)
-        worst_collapse = max(worst_collapse, collapse)
-        worst_direct = max(worst_direct, direct)
+            p = dom.diff(p, h)
+            r = dom.diff(r, h, collapse_shifts[h])
+        annihil = peak(r)
+        collapse = peak(dom.u_range(p, r))
+        direct = peak(p)
         if not trace.steps:
             trace.steps = steps + [
-                EliminationStep(label="annihilate-cross", shift=(hc, kc),
+                EliminationStep(label="annihilate-cross", shift=(h, collapse_shifts[h]),
                                 cancelled="r", max_after=annihil)
             ]
         trace.sweep.append({
-            "shift": plan["h_repr"],
+            "shift": label,
             "annihilation": annihil,
             "collapse": collapse,
             "direct": direct,
         })
-        if annihil > final_tol:
-            raise PremiseError(
-                f"cross-term annihilation failed at shift {plan['h_repr']} "
-                f"(residual {annihil:.3e})",
-                residual=annihil,
-            )
-        if collapse > final_tol or direct > final_tol:
-            raise PremiseError(
-                f"target difference of order {order} fails to vanish at shift "
-                f"{plan['h_repr']} (residual {max(collapse, direct):.3e})",
-                residual=max(collapse, direct),
-            )
-    trace.annihilation_residual = worst_annihil
-    trace.collapse_residual = worst_collapse
-    trace.direct_residual = worst_direct
-    bound = max(n, l) if mode == "pexider" else max(2, l)
-    trace.degree_bound = bound
-    cert = min_degree(base["p_fn"], n_max=bound,
-                      tol=max(final_tol, 1e-10) if base["is_group"] else None)
+        _require(annihil, final_tol, f"cross-term annihilation failed at shift {label}")
+        _require(peak([collapse, direct]), final_tol,
+                 f"target difference of order {order} fails to vanish at shift {label}")
+    trace.annihilation_residual = peak([e["annihilation"] for e in trace.sweep])
+    trace.collapse_residual = peak([e["collapse"] for e in trace.sweep])
+    trace.direct_residual = peak([e["direct"] for e in trace.sweep])
+    trace.degree_bound = max(n, l)
+    tol = None if dom.poly_tol is None else max(final_tol, dom.poly_tol)
+    cert = min_degree(dom.function(P, l), n_max=trace.degree_bound, tol=tol)
     trace.p_degree = cert.degree if cert else None
     trace.degree_bound_ok = cert is not None
     return trace
-
-
-def _combine(a, b, sign):
-    if isinstance(a, WindowFunction):
-        return WindowFunction(a.window, np.asarray(a.values) + sign * np.asarray(b.values))
-    return a + sign * b
-
-
-def _crop(fn: WindowFunction, r: int) -> WindowFunction:
-    off = fn.window.radius - r
-    if off <= 0:
-        return fn
-    sl = tuple(slice(off, off + 2 * r + 1) for _ in range(fn.window.dim))
-    return WindowFunction(IntegerWindow(r, fn.window.dim), np.asarray(fn.values)[sl])
-
-
-def _window_base(radius):
-    sq = _WindowSquare(radius)
-    return {
-        "sq": sq,
-        "compose": lambda psi, a, c: sq.compose(psi, a, c),
-        "from_u": lambda p: sq.from_u(p),
-        "from_v": lambda q: sq.from_v(q),
-        "as_base_fn": lambda r: r,
-        "p_fn": None,  # filled by caller
-        "is_group": False,
-    }
-
-
-def _derive_targets_window(terms_spec, radius):
-    """Canonical P, Q on a 1-d window from the composed term data."""
-    need_p = max(abs(a) for _, a, _ in terms_spec)
-    need_q = max(abs(c) for _, _, c in terms_spec)
-    span = min(psi.window.radius // max(abs(a), abs(c), 1)
-               for psi, a, c in terms_spec)
-    r1 = min(span, min(psi.window.radius // max(need_p, 1) for psi, _, _ in terms_spec))
-    r1 = min(r1, min(psi.window.radius // max(need_q, 1) for psi, _, _ in terms_spec))
-    u = np.arange(-r1, r1 + 1)
-    p_vals = np.zeros(2 * r1 + 1)
-    q_vals = np.zeros(2 * r1 + 1)
-    for psi, a, c in terms_spec:
-        Rψ = psi.window.radius
-        vals = np.asarray(psi.values, dtype=np.float64)
-        p_vals = p_vals + vals[a * u + Rψ]
-        q_vals = q_vals + vals[c * u + Rψ] - vals[Rψ]
-    return (WindowFunction(IntegerWindow(r1, 1), p_vals),
-            WindowFunction(IntegerWindow(r1, 1), q_vals))
 
 
 def run_pexider_chain(problem: EliminationProblem, final_tol: float | None = None,
@@ -396,134 +399,25 @@ def run_pexider_chain(problem: EliminationProblem, final_tol: float | None = Non
     for every swept shift; on finite groups the shifts exhaust the group,
     on windows they run over base multiples of the coefficient lcm.
     """
-    terms = problem.terms
-    n = len(terms)
     l = problem.r_degree
-    if isinstance(terms[0][0], GroupFunction):
-        group = problem.domain
-        if final_tol is None:
-            final_tol = GROUP_FINAL_TOL
-        sq = _GroupSquare(group)
-        ident_tab = np.arange(group.order, dtype=np.int64)
-        spec = [(np.asarray(p.values, dtype=np.float64), ident_tab,
-                 np.asarray(b.table, dtype=np.int64)) for p, b in terms]
-        inv_tabs = [np.asarray(b.inverse().table, dtype=np.int64) for _, b in terms]
-        neg = np.asarray(_neg_table(group), dtype=np.int64)
-        p_vals = sum(s[0] for s in spec)
-        q_vals = sum(s[0][s[2]] - s[0][0] for s in spec)
-        if problem.P is not None:
-            p_vals = np.asarray(problem.P.values, dtype=np.float64)
-        if problem.Q is not None:
-            q_vals = np.asarray(problem.Q.values, dtype=np.float64)
-        if problem.R is not None:
-            r_flat = np.asarray(problem.R.values, dtype=np.float64).reshape(-1)
-        else:
-            r_flat = None
-        base = {
-            "sq": sq,
-            "compose": lambda psi, a, c: sq.compose(psi, a, c),
-            "from_u": lambda p: sq.from_u(p),
-            "from_v": lambda q: sq.from_v(q),
-            "as_base_fn": lambda r: GroupFunction(
-                FiniteAbelianGroup(group.orders + group.orders), r
-            ),
-            "p_fn": GroupFunction(group, p_vals),
-            "is_group": True,
-        }
-        if r_flat is None:
-            # accumulate in the same order as the premise check so the
-            # derived remainder cancels it bitwise
-            acc = None
-            for psi, a, c in spec:
-                term = sq.compose(psi, a, c)
-                acc = term if acc is None else acc + 1.0 * term
-            r_flat = (acc - 1.0 * sq.from_u(p_vals)) - 1.0 * sq.from_v(q_vals)
-        p_gf = GroupFunction(group, p_vals)
-
-        def plans(h):
-            steps = []
-            for m in range(n - 1):
-                j = n - 1 - m  # 0-based index of the term cancelled
-                k = int(neg[inv_tabs[j][h]])
-                steps.append((f"cancel-term-{j + 1}", (h, k), f"term{j + 1}"))
-            steps.append(("cancel-term-1", (h, int(neg[inv_tabs[0][h]])), "term1"))
-            steps.append(("cancel-v-part", (h, 0), "q"))
-            return {"steps": steps, "collapse": (h, int(neg[h])),
-                    "h_repr": list(group.coords(h))}
-
-        def direct_check(h):
-            fn = p_gf
-            for _ in range(l + n + 2):
-                fn = delta(fn, h)
-            return float(np.abs(fn.values).max(initial=0.0))
-
-        return _run_chain("pexider", base, spec, p_vals, q_vals, r_flat, l,
-                          plans, range(1, group.order), final_tol, direct_check)
-
-    # window mode
-    if final_tol is None:
-        final_tol = WINDOW_FINAL_TOL
-    spec = [(p, 1, int(b)) for p, b in terms]
-    coeff_lcm = math.lcm(*(abs(int(b)) for _, b in terms))
-    h_values = [coeff_lcm * s for s in shift_set]
-    max_h = max(abs(h) for h in h_values)
-    chain_depth = (n + 1) + (l + 1)
-    if problem.R is not None:
-        radius = problem.R.window.radius
+    if problem.domain is not None:
+        dom = _GroupDomain(problem.domain)
+        terms = [(_floats(p), dom.one, np.asarray(b.table, dtype=np.int64))
+                 for p, b in problem.terms]
+        P = sum(psi for psi, _, _ in terms)
+        Q = sum(psi[c] - psi[0] for psi, _, c in terms)
     else:
-        radius = min(p.window.radius // (1 + abs(int(b))) for p, b in terms)
-    required = chain_depth * max_h + l + 2
-    if radius < required:
-        raise WindowExhaustedError(
-            f"square radius {radius} below requirement "
-            f"(n+1)|h| + (l+1)|h| + l + 2 = {required}"
-        )
-    base = _window_base(radius)
-    if problem.P is not None and problem.Q is not None:
-        P1, Q1 = problem.P, problem.Q
-    else:
-        P1, Q1 = _derive_targets_window(spec, radius)
-        if problem.P is not None:
-            P1 = problem.P
-        if problem.Q is not None:
-            Q1 = problem.Q
-    sq = base["sq"]
-    if problem.R is not None:
-        Rw = problem.R
-        if Rw.window != sq.win:
-            Rw = WindowFunction(sq.win, np.asarray(Rw.values))
-    else:
-        acc = None
-        for psi, a, c in spec:
-            part = sq.compose(psi, a, c)
-            acc = part if acc is None else _combine(acc, part, 1.0)
-        acc = _combine(acc, sq.from_u(P1), -1.0)
-        Rw = _combine(acc, sq.from_v(Q1), -1.0)
-    base["p_fn"] = P1
-    p_need = (l + n + 2) * max_h
-    if P1.window.radius < p_need:
-        raise WindowExhaustedError(
-            f"target data radius {P1.window.radius} below direct-check need {p_need}"
-        )
-
-    def plans(h):
-        steps = []
-        for m in range(n - 1):
-            j = n - 1 - m
-            b = spec[j][2]
-            steps.append((f"cancel-term-{j + 1}", (h, -h // b), f"term{j + 1}"))
-        steps.append(("cancel-term-1", (h, -h // spec[0][2]), "term1"))
-        steps.append(("cancel-v-part", (h, 0), "q"))
-        return {"steps": steps, "collapse": (h, -h), "h_repr": h}
-
-    def direct_check(h):
-        fn = P1
-        for _ in range(l + n + 2):
-            fn = delta(fn, (h,))
-        return float(np.abs(np.asarray(fn.values)).max(initial=0.0))
-
-    return _run_chain("pexider", base, spec, P1, Q1, Rw, l, plans, h_values,
-                      final_tol, direct_check)
+        terms = [(_floats(p), 1, int(b)) for p, b in problem.terms]
+        dom = _WindowDomain(terms, problem.R, l, shift_set)
+        radius = min(_radius(psi) for psi, _, _ in terms) // max(abs(c) for _, _, c in terms)
+        P = Q = np.zeros(2 * radius + 1)
+        y = np.arange(-radius, radius + 1)
+        for psi, a, c in terms:
+            P = P + dom.take(psi, a * y)
+            Q = Q + dom.take(psi, c * y) - psi[_radius(psi)]
+    P = P if problem.P is None else _floats(problem.P)
+    Q = Q if problem.Q is None else _floats(problem.Q)
+    return _run_chain("pexider", dom, terms, P, Q, dom.square(problem.R), l, final_tol)
 
 
 def run_heyde_chain(psi1, psi2, b, R=None, r_degree: int = 0,
@@ -539,148 +433,31 @@ def run_heyde_chain(psi1, psi2, b, R=None, r_degree: int = 0,
     l = int(r_degree)
     if isinstance(psi1, GroupFunction):
         group = psi1.group
-        if final_tol is None:
-            final_tol = GROUP_FINAL_TOL
         if not isinstance(b, Automorphism) or b.source != group:
             raise GroupMismatchError("b must be an automorphism of the domain")
         if not isinstance(psi2, GroupFunction) or psi2.group != group:
             raise GroupMismatchError("both terms must live on one group")
-        add = np.asarray(_add_table(group), dtype=np.int64)
-        neg = np.asarray(_neg_table(group), dtype=np.int64)
-        b_tab = np.asarray(b.table, dtype=np.int64)
-        one_plus_b = add[np.arange(group.order), b_tab]
+        dom = _GroupDomain(group)
+        b = np.asarray(b.table, dtype=np.int64)
+        one_plus_b = dom.add[dom.one, b]
         two = np.asarray(multiplication_map(group, 2).table, dtype=np.int64)
-        two_b = two[b_tab]
-        if np.unique(one_plus_b).size != group.order:
-            kel = int(np.where(one_plus_b == 0)[0][1])
-            raise KernelConditionError(
-                f"I + b has nontrivial kernel at {group.coords(kel)}",
-                kernel_element=group.coords(kel),
-            )
-        if np.unique(two).size != group.order:
-            kel = int(np.where(two == 0)[0][1])
-            raise KernelConditionError(
-                f"doubling has nontrivial kernel at {group.coords(kel)}",
-                kernel_element=group.coords(kel),
-            )
-        inv = np.empty_like(one_plus_b)
-        inv[one_plus_b] = np.arange(group.order)
-        half = np.empty_like(two)
-        half[two] = np.arange(group.order)
-        sq = _GroupSquare(group)
-        v1 = np.asarray(psi1.values, dtype=np.float64)
-        v2 = np.asarray(psi2.values, dtype=np.float64)
-        spec = [(v1, one_plus_b, two), (v2, two_b, one_plus_b)]
-        p_vals = v1[one_plus_b] + v2[two_b]
-        q_vals = v1[two] + v2[one_plus_b]
-        base = {
-            "sq": sq,
-            "compose": lambda psi, a, c: psi[add[np.ix_(a, c)]].ravel(),
-            "from_u": lambda p: sq.from_u(p),
-            "from_v": lambda q: sq.from_v(q),
-            "as_base_fn": lambda r: GroupFunction(
-                FiniteAbelianGroup(group.orders + group.orders), r
-            ),
-            "p_fn": GroupFunction(group, p_vals),
-            "is_group": True,
-        }
-        if R is not None:
-            r_flat = np.asarray(R.values, dtype=np.float64).reshape(-1)
-        else:
-            r_flat = (base["compose"](v1, one_plus_b, two)
-                      + base["compose"](v2, two_b, one_plus_b)
-                      - sq.from_u(p_vals) - sq.from_v(q_vals))
-        p_gf = GroupFunction(group, p_vals)
-
-        def plans(h):
-            h1 = int(inv[h])
-            h2 = int(half[h])
-            t1 = int(neg[two_b[h1]])
-            t2 = int(neg[one_plus_b[h2]])
-            return {
-                "steps": [
-                    ("cancel-term-2", (h, t1), "term2"),
-                    ("cancel-term-1", (h, t2), "term1"),
-                    ("cancel-v-part", (h, 0), "q"),
-                ],
-                "collapse": (h, int(neg[h])),
-                "h_repr": list(group.coords(h)),
-            }
-
-        def direct_check(h):
-            fn = p_gf
-            for _ in range(l + 4):
-                fn = delta(fn, h)
-            return float(np.abs(fn.values).max(initial=0.0))
-
-        return _run_chain("heyde", base, spec, p_vals, q_vals, r_flat, l, plans,
-                          range(1, group.order), final_tol, direct_check)
-
-    # window mode: b is a nonzero integer scalar with 1 + b != 0
-    if final_tol is None:
-        final_tol = WINDOW_FINAL_TOL
-    b = int(b)
-    if b == 0 or b + 1 == 0:
-        raise KernelConditionError(f"scalar coefficient b={b} breaks invertibility",
-                                   kernel_element=b)
-    spec = [(psi1, 1 + b, 2), (psi2, 2 * b, 1 + b)]
-    base_mult = math.lcm(2, abs(1 + b))
-    h_values = [base_mult * s for s in shift_set]
-    max_h = max(abs(h) for h in h_values)
-    if R is not None:
-        radius = R.window.radius
+        for name, tab in (("I + b", one_plus_b), ("doubling", two)):
+            if np.unique(tab).size != group.order:
+                kel = int(np.where(tab == 0)[0][1])
+                raise KernelConditionError(
+                    f"{name} has nontrivial kernel at {group.coords(kel)}",
+                    kernel_element=group.coords(kel),
+                )
+        terms = [(_floats(psi1), one_plus_b, two), (_floats(psi2), two[b], one_plus_b)]
     else:
-        radius = min(p.window.radius // (abs(a) + abs(c)) for p, a, c in spec)
-    max_shift = max(max_h, max(abs(2 * b * h // (1 + b)) for h in h_values),
-                    max(abs((1 + b) * h // 2) for h in h_values))
-    required = 3 * max_shift + (l + 1) * max_h + l + 2
-    if radius < required:
-        raise WindowExhaustedError(
-            f"square radius {radius} below chain requirement {required}"
-        )
-    base = _window_base(radius)
-    sq = base["sq"]
-    u = np.arange(-radius, radius + 1)
-
-    def lift(psi, mult):
-        Rψ = psi.window.radius
-        if Rψ < abs(mult) * radius:
-            raise WindowExhaustedError("term data too narrow for target derivation")
-        return np.asarray(psi.values, dtype=np.float64)[mult * u + Rψ]
-
-    P1 = WindowFunction(IntegerWindow(radius, 1), lift(psi1, 1 + b) + lift(psi2, 2 * b))
-    Q1 = WindowFunction(IntegerWindow(radius, 1), lift(psi1, 2) + lift(psi2, 1 + b))
-    if R is not None:
-        Rw = R if R.window == sq.win else WindowFunction(sq.win, np.asarray(R.values))
-    else:
-        acc = _combine(sq.compose(psi1, 1 + b, 2), sq.compose(psi2, 2 * b, 1 + b), 1.0)
-        acc = _combine(acc, sq.from_u(P1), -1.0)
-        Rw = _combine(acc, sq.from_v(Q1), -1.0)
-    base["p_fn"] = P1
-    p_need = (l + 4) * max_h
-    if P1.window.radius < p_need:
-        raise WindowExhaustedError(
-            f"target data radius {P1.window.radius} below direct-check need {p_need}"
-        )
-
-    def plans(h):
-        h1 = h // (1 + b)
-        h2 = h // 2
-        return {
-            "steps": [
-                ("cancel-term-2", (h, -2 * b * h1), "term2"),
-                ("cancel-term-1", (h, -(1 + b) * h2), "term1"),
-                ("cancel-v-part", (h, 0), "q"),
-            ],
-            "collapse": (h, -h),
-            "h_repr": h,
-        }
-
-    def direct_check(h):
-        fn = P1
-        for _ in range(l + 4):
-            fn = delta(fn, (h,))
-        return float(np.abs(np.asarray(fn.values)).max(initial=0.0))
-
-    return _run_chain("heyde", base, spec, P1, Q1, Rw, l, plans, h_values,
-                      final_tol, direct_check)
+        b = int(b)
+        if b == 0 or b + 1 == 0:
+            raise KernelConditionError(f"scalar coefficient b={b} breaks invertibility",
+                                       kernel_element=b)
+        terms = [(_floats(psi1), 1 + b, 2), (_floats(psi2), 2 * b, 1 + b)]
+        dom = _WindowDomain(terms, R, l, shift_set)
+    (v1, a1, c1), (v2, a2, c2) = terms
+    y, zero = dom.points, dom.zero
+    P = _at(dom, v1, a1, zero, y, y) + _at(dom, v2, a2, zero, y, y)
+    Q = _at(dom, v1, zero, c1, y, y) + _at(dom, v2, zero, c2, y, y)
+    return _run_chain("heyde", dom, terms, P, Q, dom.square(R), l, final_tol)

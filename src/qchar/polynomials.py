@@ -12,6 +12,9 @@ is the same float as the largest |f(x + h) - f(x)| over all shifts (rounded
 subtraction is monotone), found in O(|G|) without an addition table.
 ``min_degree`` certifies a window function's degree without fitting it; the
 certificate's ``coefficients`` are fitted on first read and cached.
+
+Residuals are taken with ``peak``, which propagates NaN, and compared with
+``within``, which is False for NaN, so non-finite data never certify.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ __all__ = [
     "fit_polynomial_window",
     "poly_eval",
     "monomials_up_to",
+    "peak",
+    "within",
 ]
 
 GROUP_POLY_TOL = 1e-10
@@ -103,6 +108,16 @@ class GroupFunction:
 
     def value(self, x) -> complex | float:
         return self.values[self.group.as_index(x)]
+
+
+def peak(values) -> float:
+    """Largest absolute value, 0.0 when empty, NaN when any value is NaN."""
+    return float(np.abs(np.asarray(values)).max(initial=0.0))
+
+
+def within(residual, tol) -> bool:
+    """residual <= tol; False for NaN, so a non-finite residual never passes."""
+    return bool(residual <= tol)
 
 
 class PolynomialCertificate:
@@ -186,18 +201,14 @@ def _poly_residual(f, n: int) -> float:
         vals = f.values
         if vals.dtype.kind == "f" and np.isfinite(vals).all():
             return float(abs(vals.max() - vals.min()))
-    worst = 0.0
-    for h in _admissible_shifts(f, n):
-        g = iterated_delta(f, h, n + 1)
-        worst = max(worst, float(np.abs(g.values).max(initial=0.0)))
-    return worst
+    return peak([peak(iterated_delta(f, h, n + 1).values) for h in _admissible_shifts(f, n)])
 
 
 def is_polynomial(f, n: int, tol: float | None = None) -> bool:
     """Degree <= n in the repeated-shift sense, over all admissible shifts."""
     if tol is None:
         tol = GROUP_POLY_TOL if isinstance(f, GroupFunction) else WINDOW_POLY_TOL
-    return _poly_residual(f, n) <= tol
+    return within(_poly_residual(f, n), tol)
 
 
 def min_degree(f, n_max: int | None = None, tol: float | None = None) -> PolynomialCertificate | None:
@@ -214,7 +225,7 @@ def min_degree(f, n_max: int | None = None, tol: float | None = None) -> Polynom
             n_max = min(DEGREE_CAP, f.window.radius - 2)
     for n in range(n_max + 1):
         r = _poly_residual(f, n)
-        if r <= tol:
+        if within(r, tol):
             cert = PolynomialCertificate(degree=n, residual=r)
             if isinstance(f, WindowFunction):
                 cert._unfitted = (f, max(tol, WINDOW_POLY_TOL))
@@ -231,7 +242,7 @@ def constancy_check(f: GroupFunction, n_max: int = 8, tol: float = GROUP_POLY_TO
     if not isinstance(f, GroupFunction):
         raise TypeError("constancy check applies to functions on finite groups")
     vals = np.asarray(f.values)
-    constant = bool(np.abs(vals - vals.flat[0]).max(initial=0.0) <= tol)
+    constant = within(peak(vals - vals.flat[0]), tol)
     cert = min_degree(f, n_max=n_max, tol=tol)
     polynomial = cert is not None
     if polynomial != constant:
@@ -248,26 +259,26 @@ def quadratic_check(f, tol: float = 1e-12) -> float:
     Requires real values, f(0) = 0 and evenness.
     """
     vals = np.asarray(f.values)
-    if np.iscomplexobj(vals) and np.abs(vals.imag).max(initial=0.0) > tol:
+    if np.iscomplexobj(vals) and not within(peak(vals.imag), tol):
         raise ValueError("quadratic check requires real values")
     vals = vals.real.astype(np.float64)
     if isinstance(f, GroupFunction):
         g = f.group
-        if abs(vals[0]) > tol:
+        if not within(abs(vals[0]), tol):
             raise ValueError("f(0) must vanish")
         neg = _neg_table(g)
-        if np.abs(vals[neg] - vals).max(initial=0.0) > tol:
+        if not within(peak(vals[neg] - vals), tol):
             raise ValueError("f must be even")
         add = _add_table(g)
         sub = add[:, neg]
         resid = vals[add] + vals[sub] - 2.0 * vals[:, None] - 2.0 * vals[None, :]
-        return float(np.abs(resid).max())
+        return peak(resid)
     w = f.window
     N = w.radius
     centre = (N,) * w.dim
-    if abs(vals[centre]) > tol:
+    if not within(abs(vals[centre]), tol):
         raise ValueError("f(0) must vanish")
-    if np.abs(vals[tuple(slice(None, None, -1) for _ in range(w.dim))] - vals).max() > tol:
+    if not within(peak(vals[tuple(slice(None, None, -1) for _ in range(w.dim))] - vals), tol):
         raise ValueError("f must be even")
     pts = w.points()
     flat = vals.ravel()
@@ -285,7 +296,7 @@ def quadratic_check(f, tol: float = 1e-12) -> float:
         - 2.0 * flat[flat_idx(pts[iu])]
         - 2.0 * flat[flat_idx(pts[iv])]
     )
-    return float(np.abs(resid).max(initial=0.0))
+    return peak(resid)
 
 
 def monomials_up_to(dim: int, degree: int) -> list[tuple[int, ...]]:

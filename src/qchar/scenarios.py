@@ -116,7 +116,7 @@ def parse_group(spec, where: str = "group") -> FiniteAbelianGroup:
     if not isinstance(spec, dict) or "orders" not in spec:
         raise ScenarioFormatError(f"{where}: expected an object with 'orders'")
     try:
-        return FiniteAbelianGroup(tuple(int(n) for n in spec["orders"]))
+        return FiniteAbelianGroup(_parse_coords(spec["orders"], f"{where}.orders"))
     except QcharError as exc:
         raise ScenarioFormatError(f"{where}: {exc}") from exc
 
@@ -239,7 +239,7 @@ def parse_joint(group: FiniteAbelianGroup, spec, where: str = "joint") -> JointD
                        for i, f in enumerate(factors)]
             return product_joint(factors)
         if "probs" in spec:
-            arity = int(spec.get("arity", 2))
+            arity = _parse_int(spec.get("arity", 2), f"{where}.arity")
             probs = _parse_numbers(spec["probs"], f"{where}.probs")
             return JointDistribution((group,) * arity, probs)
     except ScenarioFormatError:
@@ -423,14 +423,17 @@ def _run_cramer(payload: dict, tol: float) -> tuple[str, dict]:
             f2 = char_fn(parse_distribution(group, factors[1], "cramer.factors[1]"))
             rep = cramer_check(gamma, f1, f2, tol=tol)
         elif mode == "circle":
-            radius = int(payload.get("radius", 4))
-            trunc = int(payload.get("min_truncation", 4 * radius))
-            gamma = _circle_factor(_need(payload, "target", "cramer"), radius, trunc)
+            radius = _parse_int(payload.get("radius", 4), "cramer.radius")
+            if radius < 1:
+                raise ScenarioFormatError(f"cramer.radius: expected at least 1, got {radius}")
+            trunc = _parse_int(payload.get("min_truncation", 4 * radius), "cramer.min_truncation")
+            gamma = _circle_factor(_need(payload, "target", "cramer"), radius, trunc,
+                                   "cramer.target")
             factors = _need(payload, "factors", "cramer")
             if not isinstance(factors, list) or len(factors) != 2:
                 raise ScenarioFormatError("cramer: exactly two factors required")
-            f1 = _circle_factor(factors[0], radius, trunc)
-            f2 = _circle_factor(factors[1], radius, trunc)
+            f1 = _circle_factor(factors[0], radius, trunc, "cramer.factors[0]")
+            f2 = _circle_factor(factors[1], radius, trunc, "cramer.factors[1]")
             rep = cramer_check(gamma, f1, f2, tol=max(tol, 1e-8))
         else:
             raise ScenarioFormatError(f"cramer: unknown mode {mode!r}")
@@ -445,18 +448,28 @@ def _run_cramer(payload: dict, tol: float) -> tuple[str, dict]:
     return "pass", details
 
 
-def _circle_factor(spec, radius: int, trunc: int):
+def _circle_factor(spec, radius: int, trunc: int, where: str):
     """Gaussian-type factor given by shift/sigma, optionally perturbed."""
     if not isinstance(spec, dict) or "sigma" not in spec:
         raise ScenarioFormatError("circle factor: expected {'shift', 'sigma'}")
-    dist = gaussian_distribution(float(spec.get("shift", 0.0)), float(spec["sigma"]),
+    sigma = _parse_number(spec["sigma"], f"{where}.sigma")
+    if sigma <= 0:
+        raise ScenarioFormatError(f"{where}.sigma: expected a positive number, got {sigma!r}")
+    dist = gaussian_distribution(_parse_number(spec.get("shift", 0.0), f"{where}.shift"), sigma,
                                  min_truncation=trunc)
+    if radius > dist.truncation:
+        raise ScenarioFormatError(
+            f"cramer.radius: {radius} beyond the truncation {dist.truncation} of {where}")
     vals = dist.cf_window(radius)
     logs = dist.log_window(radius)
     if "perturb" in spec:
         pert = spec["perturb"]
-        off = int(_need(pert, "offset", "circle factor perturb"))
-        amt = float(_need(pert, "amount", "circle factor perturb"))
+        off = _parse_int(_need(pert, "offset", "circle factor perturb"), f"{where}.perturb.offset")
+        if abs(off) > radius:
+            raise ScenarioFormatError(
+                f"{where}.perturb.offset: {off} outside [-{radius}, {radius}]")
+        amt = _parse_number(_need(pert, "amount", "circle factor perturb"),
+                            f"{where}.perturb.amount")
         arr = np.asarray(vals.values, dtype=np.complex128).copy()
         arr[radius + off] += amt
         arr[radius - off] += amt
@@ -561,8 +574,11 @@ def _run_circle_construct(payload: dict, tol: float) -> tuple[str, dict]:
         "tail_bound": dist.tail_bound,
     }
     if dist2 is not None:
-        radius = _parse_int(payload.get("radius", min(dist.truncation, dist2.truncation) // 2),
-                            "circle-construct.radius")
+        half = min(dist.truncation, dist2.truncation) // 2
+        radius = _parse_int(payload.get("radius", half), "circle-construct.radius")
+        if not 1 <= radius <= half:
+            raise ScenarioFormatError(
+                f"circle-construct.radius: {radius} outside [1, {half}]")
         sj = sum_difference_joint(dist, dist2, radius)
         witness = extract_q_witness(sj)
         details["witness"] = _witness_dict(witness)

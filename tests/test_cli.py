@@ -186,6 +186,58 @@ def test_non_summable_construction_is_a_fail_verdict(tmp_path, capsys, key):
     assert "diverges" in rep["details"]["reason"]
 
 
+def _run_edited(tmp_path, capsys, scn):
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(scn))
+    return run_cli(["run", path], capsys)
+
+
+@pytest.mark.parametrize("orders", [[5.5], ["5"], 5, [True]])
+def test_run_non_integer_group_orders_exit_two(tmp_path, capsys, orders):
+    scn = json.load(open(DATA / "heyde_pass.json"))
+    scn["payload"]["group"]["orders"] = orders
+    code, out, err = _run_edited(tmp_path, capsys, scn)
+    assert (code, out) == (2, "")
+    assert "invalid input: group.orders" in err
+
+
+def test_run_non_integer_joint_arity_exits_two(tmp_path, capsys):
+    scn = {"schema": "qchar-scenario-1", "kind": "q-witness", "payload": {
+        "group": {"orders": [2]}, "joint": {"arity": 2.7, "probs": [0.25] * 4}}}
+    code, out, err = _run_edited(tmp_path, capsys, scn)
+    assert (code, out) == (2, "")
+    assert "invalid input: q-witness.joint.arity" in err
+
+
+@pytest.mark.parametrize("edit, where", [
+    (lambda p: p.update(radius="x"), "cramer.radius"),
+    (lambda p: p.update(radius=0), "cramer.radius"),
+    (lambda p: p.update(radius=500), "cramer.radius"),
+    (lambda p: p.update(min_truncation=12.5), "cramer.min_truncation"),
+    (lambda p: p["target"].update(sigma="abc"), "cramer.target.sigma"),
+    (lambda p: p["target"].update(sigma=-1.0), "cramer.target.sigma"),
+    (lambda p: p["factors"][1].update(shift=[]), "cramer.factors[1].shift"),
+    (lambda p: p["factors"][0]["perturb"].update(offset="1"), "cramer.factors[0].perturb.offset"),
+    (lambda p: p["factors"][0]["perturb"].update(offset=9), "cramer.factors[0].perturb.offset"),
+    (lambda p: p["factors"][0]["perturb"].update(amount="x"), "cramer.factors[0].perturb.amount"),
+])
+def test_run_bad_circle_cramer_field_exits_two(tmp_path, capsys, edit, where):
+    scn = _full_surface("circle-perturbed-factor")
+    edit(scn["payload"])
+    code, out, err = _run_edited(tmp_path, capsys, scn)
+    assert (code, out) == (2, "")
+    assert f"invalid input: {where}" in err
+
+
+@pytest.mark.parametrize("radius", [500, 7, 0, -1])
+def test_run_construct_radius_outside_window_exits_two(tmp_path, capsys, radius):
+    scn = json.load(open(DATA / "kb_and_circle.json"))["scenarios"][2]
+    scn["payload"]["radius"] = radius
+    code, out, err = _run_edited(tmp_path, capsys, scn)
+    assert (code, out) == (2, "")
+    assert f"invalid input: circle-construct.radius: {radius} outside [1, 6]" in err
+
+
 def test_run_multi_scenario_order_and_worker_determinism(capsys):
     args = ["run", DATA / "full_surface.json", "--workers", "3"]
     code1, out1, _ = run_cli(args, capsys)
@@ -271,14 +323,15 @@ def test_python_dash_m_qchar_is_quiet(monkeypatch):
     src = str(Path(__file__).resolve().parent.parent / "src")
     rest = os.environ.get("PYTHONPATH")
     monkeypatch.setenv("PYTHONPATH", os.pathsep.join([src, rest]) if rest else src)
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "qchar", "--help"],
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, f"{proc.args} exited {proc.returncode}:\n{proc.stderr}"
-    assert proc.stderr == ""
-    assert "usage:" in proc.stdout
+    for module in ("qchar", "qchar.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", module, "--help"],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0, f"{proc.args} exited {proc.returncode}:\n{proc.stderr}"
+        assert proc.stderr == ""
+        assert "usage:" in proc.stdout
 
 
 # -- python api parity ------------------------------------------------------

@@ -147,3 +147,23 @@ def test_substitute_and_subtract_group_pair():
     out = substitute_and_subtract(F, (1, 0))
     # index (u, v) -> value at (u+1, v) minus value at (u, v)
     assert out.values[0] == vals[5] - vals[0]
+
+
+def test_nan_term_fails_the_premise():
+    problem = window_pexider_problem()
+    (psi1, b1), second = problem.terms
+    vals = np.asarray(psi1.values, dtype=float).copy()
+    vals[40] = np.nan
+    bad = EliminationProblem(terms=[(WindowFunction(psi1.window, vals), b1), second], r_degree=3)
+    with pytest.raises(PremiseError) as err:
+        run_pexider_chain(bad)
+    assert np.isnan(err.value.residual)
+
+
+def test_group_heyde_nan_term_fails_the_premise():
+    g = FiniteAbelianGroup((9,))
+    psi1 = np.full(9, 0.4)
+    psi1[5] = np.nan
+    with pytest.raises(PremiseError):
+        run_heyde_chain(GroupFunction(g, psi1), GroupFunction(g, np.full(9, -1.1)),
+                        Automorphism.multiplication(g, 4), r_degree=0)

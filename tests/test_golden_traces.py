@@ -52,7 +52,8 @@ def _heyde_window(radius, c1, c2, b):
 
 def _pexider_group(orders, values, auts):
     g = FiniteAbelianGroup(orders)
-    terms = [(_near_constant(g, v, seed), aut(g)) for seed, (v, aut) in enumerate(zip(values, auts))]
+    terms = [(_near_constant(g, v, seed), aut(g))
+             for seed, (v, aut) in enumerate(zip(values, auts))]
     return run_pexider_chain(EliminationProblem(terms=terms, r_degree=0))
 
 

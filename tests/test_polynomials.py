@@ -148,12 +148,14 @@ def test_degree_detection_matches_leading_term(coeffs):
 
 
 def _shift_scan(f):
-    """Degree-0 residual the long way: max |f(x + h) - f(x)| over every shift h."""
+    """Degree-0 residual the long way: max |f(x + h) - f(x)| over every shift h.
+
+    A NaN difference makes the result NaN, as in ``polynomials.peak``.
+    """
     add = _add_table(f.group)
-    worst = 0.0
-    for h in range(1, f.group.order):
-        worst = max(worst, float(np.abs(f.values[add[:, h]] - f.values).max(initial=0.0)))
-    return worst
+    peaks = [float(np.abs(f.values[add[:, h]] - f.values).max(initial=0.0))
+             for h in range(1, f.group.order)]
+    return float(np.max(peaks, initial=0.0))
 
 
 def _same_float(a, b):
@@ -237,3 +239,32 @@ def test_constant_group_chain_builds_no_square_add_table(monkeypatch):
     assert trace.cross_degree == 0 and trace.p_degree == 0
     assert 64 in built
     assert 64 * 64 not in built
+
+
+# -- non-finite data never certify ----------------------------------------------
+
+
+def test_group_values_with_nan_get_no_degree():
+    g = FiniteAbelianGroup((7,))
+    one_nan = np.full(7, 0.25)
+    one_nan[3] = np.nan
+    for vals in (one_nan, np.full(7, np.nan)):
+        f = GroupFunction(g, vals)
+        assert min_degree(f) is None
+        assert not is_polynomial(f, 0)
+        assert constancy_check(f) == {"constant": False, "polynomial": False, "degree": None}
+
+
+def test_window_cubic_with_one_nan_gets_no_degree():
+    f = tabulate(10, 1, lambda x: float(x**3 - 2 * x))
+    assert min_degree(f).degree == 3
+    vals = np.asarray(f.values).copy()
+    vals[4] = np.nan
+    assert min_degree(WindowFunction(f.window, vals)) is None
+
+
+def test_all_infinite_window_gets_no_degree():
+    f = WindowFunction(IntegerWindow(6, 1), np.full(13, np.inf))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        assert min_degree(f) is None
+        assert not is_polynomial(f, 0)
