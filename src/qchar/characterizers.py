@@ -30,7 +30,7 @@ from .groups import (
     FiniteAbelianGroup,
     GroupElement,
     Subgroup,
-    _add_table,
+    _add,
     _characters,
     _neg_table,
     adjoint,
@@ -42,10 +42,10 @@ from .groups import (
 from .measures import (
     CharacteristicFunction,
     JointDistribution,
-    idempotent_shift_factor,
+    _idempotent_shift_factor,
     inverse_char_fn,
 )
-from .polynomials import GroupFunction, WindowFunction, constancy_check
+from .polynomials import GroupFunction, WindowFunction, constancy_check, within
 from .witnesses import QWitness, extract_q_witness
 
 __all__ = [
@@ -162,22 +162,21 @@ class SDConclusion:
 
 
 def _sd_tables(inst: SDInstance):
-    add = np.asarray(_add_table(inst.group), dtype=np.int64)
     abar = [np.asarray(adjoint(a).table, dtype=np.int64) for a in inst.alphas]
     bbar = [np.asarray(adjoint(b).table, dtype=np.int64) for b in inst.betas]
-    return add, abar, bbar
+    return abar, bbar
 
 
 def sd_equation_residual(inst: SDInstance) -> float:
     """Max defect of the two-statistic product identity on the dual square."""
     n = inst.group.order
-    add, abar, bbar = _sd_tables(inst)
+    abar, bbar = _sd_tables(inst)
     lhs = np.ones((n, n), dtype=np.complex128)
     col = np.ones(n, dtype=np.complex128)
     row = np.ones(n, dtype=np.complex128)
     for f, A, B in zip(inst.cfs, abar, bbar):
         vals = np.asarray(f.values)
-        lhs *= vals[add[np.ix_(A, B)]]
+        lhs *= vals[_add(inst.group, A[:, None], B[None, :])]
         col *= vals[A]
         row *= vals[B]
     rhs = col[:, None] * row[None, :]
@@ -195,12 +194,12 @@ def sd_conclude(inst: SDInstance, tol: float = CHECK_TOL) -> SDConclusion:
     constant target.
     """
     resid = sd_equation_residual(inst)
-    if resid > tol:
+    if not within(resid, tol):
         raise HypothesisError(
             f"product identity fails with residual {resid:.3e}", residual=resid
         )
     group = inst.group
-    add, abar, bbar = _sd_tables(inst)
+    abar, bbar = _sd_tables(inst)
     n = group.order
     classes: dict[bytes, dict] = {}
     for f, A, B in zip(inst.cfs, abar, bbar):
@@ -229,7 +228,7 @@ def sd_conclude(inst: SDInstance, tol: float = CHECK_TOL) -> SDConclusion:
     verdicts = []
     for j, f in enumerate(inst.cfs):
         flat = np.abs(np.abs(np.asarray(f.values)) - 1.0).max()
-        if flat > tol:
+        if not within(flat, tol):
             raise FactorizationError(
                 f"component {j} should have unit modulus, defect {flat:.3e}"
             )
@@ -287,27 +286,28 @@ class HeydeConclusion:
 
 def heyde_condition(group: FiniteAbelianGroup, alpha: Automorphism):
     """(ok, witness): is x + alpha(x) = 0 only solved by zero?"""
-    add = np.asarray(_add_table(group), dtype=np.int64)
-    tab = add[np.arange(group.order), np.asarray(alpha.table, dtype=np.int64)]
+    tab = _add(group, np.arange(group.order), np.asarray(alpha.table, dtype=np.int64))
     hits = np.where(tab == 0)[0]
     if hits.size > 1:
         return False, GroupElement(group.coords(int(hits[1])))
     return True, None
 
 
-def heyde_symmetry_residual(inst: HeydeInstance) -> float:
-    """Defect of J(u+v, u+bv) = J(u-v, u-bv) on the dual square."""
+def _symmetry_points(inst: HeydeInstance):
+    """Index arrays of u+v, u+bv, u-v and u-bv on the dual square."""
     group = inst.group
-    n = group.order
-    add = np.asarray(_add_table(group), dtype=np.int64)
     neg = np.asarray(_neg_table(group), dtype=np.int64)
     bb = np.asarray(adjoint(inst.alpha).table, dtype=np.int64)
+    u = np.arange(group.order)[:, None]
+    return [_add(group, u, w) for w in (u.T, bb[u.T], neg[u.T], neg[bb[u.T]])]
+
+
+def heyde_symmetry_residual(inst: HeydeInstance) -> float:
+    """Defect of J(u+v, u+bv) = J(u-v, u-bv) on the dual square."""
+    n = inst.group.order
     J = np.asarray(inst.joint.joint_cf().values).reshape(n, n)
-    u = np.arange(n)[:, None]
-    v = np.arange(n)[None, :]
-    plus = J[add[u, v], add[u, bb[v]]]
-    minus = J[add[u, neg[v]], add[u, neg[bb[v]]]]
-    return float(np.abs(plus - minus).max())
+    s, t, s_neg, t_neg = _symmetry_points(inst)
+    return float(np.abs(J[s, t] - J[s_neg, t_neg]).max())
 
 
 def symmetry_witness(inst: HeydeInstance, tol: float = CHECK_TOL) -> QWitness | None:
@@ -322,15 +322,9 @@ def symmetry_witness(inst: HeydeInstance, tol: float = CHECK_TOL) -> QWitness | 
     f2 = np.asarray(kernels.dft(group, np.asarray(inst.joint.marginal(1).probs)))
     if min(np.abs(f1).min(), np.abs(f2).min()) <= VANISH_TOL:
         raise UndefinedLogError("a marginal transform vanishes on the dual group")
-    add = np.asarray(_add_table(group), dtype=np.int64)
-    neg = np.asarray(_neg_table(group), dtype=np.int64)
-    bb = np.asarray(adjoint(inst.alpha).table, dtype=np.int64)
-    u = np.arange(n)[:, None]
-    v = np.arange(n)[None, :]
-    lhs = f1[add[u, v]] * f2[add[u, bb[v]]]
-    rhs = f1[add[u, neg[v]]] * f2[add[u, neg[bb[v]]]]
-    resid = float(np.abs(lhs - rhs).max())
-    if resid > tol:
+    s, t, s_neg, t_neg = _symmetry_points(inst)
+    resid = float(np.abs(f1[s] * f2[t] - f1[s_neg] * f2[t_neg]).max())
+    if not within(resid, tol):
         return None
     sq = _square_group(group)
     return QWitness(q=GroupFunction(sq, np.zeros(n * n)), degree=0,
@@ -366,7 +360,7 @@ def heyde_conclude(inst: HeydeInstance, tol: float = CHECK_TOL) -> HeydeConclusi
             kernel_element=kel.coords, hint=hint,
         )
     sym = heyde_symmetry_residual(inst)
-    if sym > tol:
+    if not within(sym, tol):
         raise HypothesisError(
             f"conditional symmetry fails with residual {sym:.3e}", residual=sym
         )
@@ -374,19 +368,18 @@ def heyde_conclude(inst: HeydeInstance, tol: float = CHECK_TOL) -> HeydeConclusi
     if witness is None:
         raise HypothesisError("joint law does not factor over its marginals")
     n = group.order
-    add = np.asarray(_add_table(group), dtype=np.int64)
     bb_tab = np.asarray(adjoint(inst.alpha).table, dtype=np.int64)
-    one_plus_b = add[np.arange(n), bb_tab]
+    one_plus_b = _add(group, np.arange(n), bb_tab)
     two = np.asarray(multiplication_map(group, 2).table, dtype=np.int64)
     two_b = two[bb_tab]
     f1 = np.asarray(kernels.dft(group, np.asarray(inst.joint.marginal(0).probs)))
     f2 = np.asarray(kernels.dft(group, np.asarray(inst.joint.marginal(1).probs)))
     cf1 = CharacteristicFunction(group, f1)
     cf2 = CharacteristicFunction(group, f2)
-    lhs = f1[add[np.ix_(one_plus_b, two)]] * f2[add[np.ix_(two_b, one_plus_b)]]
+    lhs = f1[_add(group, one_plus_b[:, None], two)] * f2[_add(group, two_b[:, None], one_plus_b)]
     rhs = (f1[one_plus_b] * f2[two_b])[:, None] * (f1[two] * f2[one_plus_b])[None, :]
     doubled = float(np.abs(lhs - rhs).max())
-    if doubled > tol:
+    if not within(doubled, tol):
         raise HypothesisError(
             f"doubled product identity fails with residual {doubled:.3e}",
             residual=doubled,
@@ -400,7 +393,7 @@ def heyde_conclude(inst: HeydeInstance, tol: float = CHECK_TOL) -> HeydeConclusi
     verdicts = []
     for j, f in enumerate((cf1, cf2)):
         flat = float(np.abs(np.abs(f.values) - 1.0).max())
-        if flat > tol:
+        if not within(flat, tol):
             raise FactorizationError(
                 f"component {j} should have unit modulus, defect {flat:.3e}"
             )
@@ -461,13 +454,11 @@ def kb_equation_residual(inst: KBInstance) -> float:
     """Defect of f1(u+v) f2(u-v) = f1(u) f2(u) f1(v) f2(-v) e^q."""
     group = inst.group
     n = group.order
-    add = np.asarray(_add_table(group), dtype=np.int64)
     neg = np.asarray(_neg_table(group), dtype=np.int64)
     f1 = np.asarray(inst.cf1.values)
     f2 = np.asarray(inst.cf2.values)
     u = np.arange(n)[:, None]
-    v = np.arange(n)[None, :]
-    lhs = f1[add[u, v]] * f2[add[u, neg[v]]]
+    lhs = f1[_add(group, u, u.T)] * f2[_add(group, u, neg[u.T])]
     rhs = (f1 * f2)[:, None] * (f1 * f2[neg[np.arange(n)]])[None, :]
     qm = _check_q(group, inst.q)
     if qm is not None:
@@ -515,7 +506,7 @@ def kb_factorize(inst: KBInstance, tol: float = CHECK_TOL) -> KBFactorization:
     """
     group = inst.group
     resid = kb_equation_residual(inst)
-    if resid > tol:
+    if not within(resid, tol):
         raise HypothesisError(
             f"sum/difference identity fails with residual {resid:.3e}",
             residual=resid,
@@ -542,8 +533,7 @@ def kb_factorize(inst: KBInstance, tol: float = CHECK_TOL) -> KBFactorization:
         )
     factors = []
     for j, f in enumerate((inst.cf1, inst.cf2)):
-        dist = inverse_char_fn(f)
-        fac = idempotent_shift_factor(dist)
+        fac = _idempotent_shift_factor(inverse_char_fn(f), f.values)
         if fac is None:
             raise FactorizationError(
                 f"component {j} is not a shifted uniform measure"
@@ -555,13 +545,11 @@ def kb_factorize(inst: KBInstance, tol: float = CHECK_TOL) -> KBFactorization:
             )
         factors.append((x, K))
     x1, x2 = factors[0][0], factors[1][0]
-    add_t = np.asarray(_add_table(group), dtype=np.int64)
-    neg_t = np.asarray(_neg_table(group), dtype=np.int64)
-    shift = int(add_t[group.as_index(x1.coords), neg_t[group.as_index(x2.coords)]])
+    shift = group.index(group.add(x1, group.neg(x2)))
     char = _characters(group, [shift], np.arange(group.order))[0]
     rel = float(np.abs(np.asarray(inst.cf1.values)
                        - np.asarray(inst.cf2.values) * char).max())
-    shift_relation = {"holds": bool(rel <= tol), "residual": rel,
+    shift_relation = {"holds": within(rel, tol), "residual": rel,
                       "shift": list(group.coords(shift))}
     return KBFactorization(
         equation_residual=resid, doubling=doubling, annihilator_subgroup=W,

@@ -34,7 +34,7 @@ from .errors import (
 from .groups import (
     Automorphism,
     FiniteAbelianGroup,
-    _add_table,
+    _add,
     _neg_table,
     multiplication_map,
 )
@@ -179,9 +179,9 @@ class _GroupDomain:
 
     def __init__(self, group: FiniteAbelianGroup):
         self.group = group
-        self.add = np.asarray(_add_table(group), dtype=np.int64)
-        self.neg = np.asarray(_neg_table(group), dtype=np.int64)
         self.one = self.points = np.arange(group.order, dtype=np.int64)
+        self.add = _add(group, self.one[:, None], self.one[None, :])
+        self.neg = np.asarray(_neg_table(group), dtype=np.int64)
         self.zero = np.zeros_like(self.one)
         self.shifts = [(h, list(group.coords(h))) for h in range(1, group.order)]
 

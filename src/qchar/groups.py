@@ -1,19 +1,19 @@
 """Finite abelian groups presented as explicit products of cyclic factors.
 
 A group is Z_{n_1} x ... x Z_{n_k}; elements are coordinate tuples stored
-row-major as flat indices, with cached numpy tables for addition, negation
-and coordinates.  The dual group is identified with the group itself
-coordinate-wise, and the pairing <x, y> = exp(2 pi i sum_j x_j y_j / n_j)
-is manipulated through exact integer phases (units of 1/L, L the exponent
-lcm) so that membership questions -- annihilators, kernels, adjoints --
-never depend on floating point.
+row-major as flat indices.  Sums of indices are formed by ``_add`` from
+the cached coordinate table, so no |G| x |G| table is kept.  The dual group
+is identified with the group itself coordinate-wise, and the pairing
+<x, y> = exp(2 pi i sum_j x_j y_j / n_j) is manipulated through exact
+integer phases (units of 1/L, L the exponent lcm) so that membership
+questions -- annihilators, kernels, adjoints -- never depend on floating
+point.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Iterable, Sequence
 
@@ -167,26 +167,34 @@ def _index_of_coords(group: FiniteAbelianGroup, coords: np.ndarray) -> np.ndarra
     return coords @ _strides(group)
 
 
-@lru_cache(maxsize=64)
-def _add_table(group: FiniteAbelianGroup) -> np.ndarray:
-    """(order, order) int32 table of flat indices for x + y, built blockwise."""
-    n = group.order
-    coords = _coords_table(group)
-    orders = np.asarray(group.orders, dtype=np.int64)
-    out = np.empty((n, n), dtype=np.int32)
-    step = max(1, (1 << 22) // max(n, 1))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        block = (coords[lo:hi, None, :] + coords[None, :, :]) % orders
-        out[lo:hi] = _index_of_coords(group, block)
+def _add(group: FiniteAbelianGroup, x, y) -> np.ndarray:
+    """Flat indices of x + y for broadcastable flat-index arrays x and y.
+
+    Exact, one axis at a time: start from the flat sum x + y and, wherever the
+    coordinates on axis j sum to n_j or more, subtract n_j times that axis's
+    stride.  Forms no (..., rank) array.
+    """
+    out = np.asarray(np.add(x, y), dtype=np.int64)
+    for n, stride, col in zip(group.orders, _strides(group).tolist(), _coords_table(group).T):
+        np.subtract(out, n * stride, out=out, where=col[x] + col[y] >= n)
     return out
+
+
+def _unit_indices(group: FiniteAbelianGroup) -> np.ndarray:
+    """Flat indices of the coordinate generators e_j (0 on an axis of order 1)."""
+    return (1 % np.asarray(group.orders, dtype=np.int64)) * _strides(group)
+
+
+def _linear_table(source: FiniteAbelianGroup, target: FiniteAbelianGroup, mat) -> np.ndarray:
+    """Index table of the coordinate map x -> mat x, reduced mod the target orders."""
+    img = _coords_table(source) @ np.asarray(mat, dtype=np.int64).T
+    img %= np.asarray(target.orders, dtype=np.int64)
+    return _index_of_coords(target, img)
 
 
 @lru_cache(maxsize=256)
 def _neg_table(group: FiniteAbelianGroup) -> np.ndarray:
-    coords = _coords_table(group)
-    orders = np.asarray(group.orders, dtype=np.int64)
-    return _index_of_coords(group, (-coords) % orders)
+    return _linear_table(group, group, -np.eye(group.rank, dtype=np.int64))
 
 
 @lru_cache(maxsize=256)
@@ -236,14 +244,17 @@ class Subgroup:
         arr = np.asarray(el, dtype=np.int64)
         if arr[-1] >= self.group.order or arr[0] < 0:
             raise InvalidSubgroupError("subgroup element index out of range")
-        add = _add_table(self.group)
-        if not np.isin(add[np.ix_(arr, arr)], arr).all():
+        member = np.zeros(self.group.order, dtype=bool)
+        member[arr] = True
+        if not member[_add(self.group, arr[:, None], arr[None, :])].all():
             raise InvalidSubgroupError("element set is not closed under addition")
 
     @classmethod
     def from_generators(cls, group: FiniteAbelianGroup, gens) -> "Subgroup":
-        idx = [group.as_index(g) for g in gens]
-        return cls(group, tuple(_generated(group, tuple(idx))))
+        members = np.zeros(1, dtype=np.int64)
+        for g in gens:
+            members = _cosets(group, members, group.as_index(g)).ravel()
+        return cls(group, tuple(members.tolist()))
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup) -> "Subgroup":
@@ -264,22 +275,19 @@ class Subgroup:
         return [self.group.coords(i) for i in self.elements]
 
 
-def _generated(group: FiniteAbelianGroup, gens: tuple[int, ...]) -> tuple[int, ...]:
-    """Closure of {0} u gens under addition, as a sorted index tuple."""
-    add = _add_table(group)
-    members = {0}
-    frontier = [0]
-    gens = tuple(dict.fromkeys(gens))
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g in gens:
-                s = int(add[a, g])
-                if s not in members:
-                    members.add(s)
-                    nxt.append(s)
-        frontier = nxt
-    return tuple(sorted(members))
+def _cosets(group: FiniteAbelianGroup, K: np.ndarray, g: int) -> np.ndarray:
+    """(|K|, m) indices of K + i g, 0 <= i < m, for K the index array of a subgroup.
+
+    i g is the image of i under Z_L -> G, 1 -> g (L the exponent).  For the least
+    m > 0 with m g in K, the columns are disjoint cosets making up K + <g>.
+    """
+    cyclic = FiniteAbelianGroup((group.exponent,))
+    multiples = _linear_table(cyclic, group, _coords_table(group)[g][:, None])
+    member = np.zeros(group.order, dtype=bool)
+    member[K] = True
+    back = np.flatnonzero(member[multiples])
+    m = back[1] if back.size > 1 else multiples.size
+    return _add(group, K[:, None], multiples[None, :m])
 
 
 def annihilator(group: FiniteAbelianGroup, subset) -> Subgroup:
@@ -299,7 +307,11 @@ def annihilator(group: FiniteAbelianGroup, subset) -> Subgroup:
 
 @dataclass(eq=False)
 class GroupHom:
-    """Homomorphism stored as a full index table, validated exhaustively."""
+    """Homomorphism stored as a full index table, validated on generators.
+
+    A table is additive exactly when table[x] = sum_j x_j table[e_j] for all
+    x and n_j table[e_j] = 0 for each coordinate generator e_j.
+    """
 
     source: FiniteAbelianGroup
     target: FiniteAbelianGroup
@@ -316,21 +328,26 @@ class GroupHom:
         self.table = table
         if table[0] != 0:
             raise NotAHomomorphismError("zero must map to zero", witness=(0, 0))
-        add_s = _add_table(self.source)
-        add_t = _add_table(self.target)
-        n = self.source.order
-        step = max(1, (1 << 22) // max(n, 1))
-        for lo in range(0, n, step):
-            hi = min(n, lo + step)
-            lhs = table[add_s[lo:hi, :]]
-            rhs = add_t[table[lo:hi, None], table[None, :]]
-            bad = np.argwhere(lhs != rhs)
-            if bad.size:
-                a, b = int(bad[0, 0]) + lo, int(bad[0, 1])
-                raise NotAHomomorphismError(
-                    f"additivity fails at ({self.source.coords(a)}, {self.source.coords(b)})",
-                    witness=(a, b),
-                )
+        src, tgt = self.source, self.target
+        orders = np.asarray(src.orders, dtype=np.int64)
+        gens = _unit_indices(src)
+        images = _coords_table(tgt)[table[gens]]
+        bad = np.flatnonzero(table != _linear_table(src, tgt, images.T))
+        torsion = (images * orders[:, None]) % np.asarray(tgt.orders, dtype=np.int64)
+        # Witnesses: at the first bad x, j its last non-zero axis, the table is
+        # right at x - e_j, so (x - e_j, e_j) fails; ((n_j - 1) e_j, e_j) sums to 0.
+        if bad.size:
+            j = int(np.flatnonzero(_coords_table(src)[bad[0]])[-1])
+            a = int(bad[0] - gens[j])
+        elif torsion.any():
+            j = int(np.flatnonzero(torsion.any(axis=1))[0])
+            a = int(gens[j] * (orders[j] - 1))
+        else:
+            return
+        b = int(gens[j])
+        raise NotAHomomorphismError(
+            f"additivity fails at ({src.coords(a)}, {src.coords(b)})", witness=(a, b)
+        )
 
     @classmethod
     def from_matrix(cls, source, target, rows) -> "GroupHom":
@@ -341,10 +358,7 @@ class GroupHom:
                 f"matrix shape {mat.shape} does not match ranks "
                 f"({target.rank}, {source.rank})"
             )
-        coords = _coords_table(source)
-        img = coords @ mat.T
-        img %= np.asarray(target.orders, dtype=np.int64)
-        return cls(source, target, _index_of_coords(target, img))
+        return cls(source, target, _linear_table(source, target, mat))
 
     @classmethod
     def identity(cls, group) -> "GroupHom":
@@ -356,9 +370,8 @@ class GroupHom:
 
     @classmethod
     def multiplication(cls, group, n: int) -> "GroupHom":
-        coords = _coords_table(group) * int(n)
-        coords %= np.asarray(group.orders, dtype=np.int64)
-        return cls(group, group, _index_of_coords(group, coords))
+        scale = int(n) * np.eye(group.rank, dtype=np.int64)
+        return cls(group, group, _linear_table(group, group, scale))
 
     def __call__(self, x):
         return self.target.coords(int(self.table[self.source.as_index(x)]))
@@ -413,18 +426,8 @@ def adjoint(hom: GroupHom) -> GroupHom:
     """
     src, tgt = hom.source, hom.target
     Lt = tgt.exponent
-    gen_indices = []
-    for j in range(src.rank):
-        e = [0] * src.rank
-        e[j] = 1 % src.orders[j]
-        gen_indices.append(src.index(e))
-    gen_images = hom.table[np.asarray(gen_indices, dtype=np.int64)] if src.rank else np.zeros(0, np.int64)
     # phases of <h(e_j), y> for every y, in units of 1/Lt
-    phases = (
-        phase_matrix(tgt, gen_images, np.arange(tgt.order))
-        if src.rank
-        else np.zeros((0, tgt.order), dtype=np.int64)
-    )
+    phases = phase_matrix(tgt, hom.table[_unit_indices(src)], np.arange(tgt.order))
     adj_coords = np.zeros((tgt.order, src.rank), dtype=np.int64)
     for j in range(src.rank):
         n_j = src.orders[j]
@@ -452,10 +455,9 @@ def multiplication_map(group: FiniteAbelianGroup, n: int) -> GroupHom:
 def is_corwin(obj) -> bool:
     """Doubling is onto: for groups, 2G = G; for subgroups, 2K = K."""
     if isinstance(obj, Subgroup):
-        add = _add_table(obj.group)
         el = np.asarray(obj.elements, dtype=np.int64)
-        doubled = np.unique(add[el, el])
-        return doubled.size == el.size and (doubled == el).all()
+        # 2K lies inside K, so the two are equal when they have the same size
+        return np.unique(_add(obj.group, el, el)).size == el.size
     doubled = np.unique(multiplication_map(obj, 2).table)
     return doubled.size == obj.order
 
@@ -558,11 +560,11 @@ def _diagonalize(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 def generating_set(sub: Subgroup) -> list[int]:
     """Small generating set of a subgroup, greedy over its element list."""
     gens: list[int] = []
-    covered = {0}
+    covered = np.zeros(1, dtype=np.int64)
     for idx in sub.elements:
         if idx not in covered:
             gens.append(idx)
-            covered = set(_generated(sub.group, tuple(gens)))
+            covered = _cosets(sub.group, covered, idx).ravel()
     return gens
 
 
@@ -581,40 +583,32 @@ def quotient(group: FiniteAbelianGroup, sub: Subgroup) -> tuple[FiniteAbelianGro
     diag, U = _diagonalize(cols) if k else ([], [])
     kept = [i for i, d in enumerate(diag) if d > 1]
     q_group = FiniteAbelianGroup(tuple(diag[i] for i in kept))
-    coords = _coords_table(group)
-    U_arr = np.asarray(U, dtype=np.int64).reshape(k, k) if k else np.zeros((0, 0), np.int64)
-    mapped = coords @ U_arr.T
-    if kept:
-        q_orders = np.asarray([diag[i] for i in kept], dtype=np.int64)
-        q_coords = mapped[:, kept] % q_orders
-        table = _index_of_coords(q_group, q_coords)
-    else:
-        table = np.zeros(group.order, dtype=np.int64)
-    proj = GroupHom(group, q_group, table)
+    U_arr = np.asarray(U, dtype=np.int64).reshape(k, k)
+    proj = GroupHom(group, q_group, _linear_table(group, q_group, U_arr[kept]))
     if q_group.order * sub.order != group.order or set(proj.kernel().elements) != set(sub.elements):
         raise InvalidSubgroupError("quotient construction failed internal checks")
     return q_group, proj
 
 
 def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
-    """Every subgroup, found by closing each chain of added generators."""
-    seen: set[tuple[int, ...]] = set()
-    frontier = [(0,)]
-    seen.add((0,))
-    while frontier:
-        nxt = []
-        for el in frontier:
-            members = set(el)
-            for g in range(1, group.order):
-                if g in members:
-                    continue
-                grown = _generated(group, tuple(el) + (g,))
+    """Every subgroup, found by growing each found K to K + <g>."""
+    seen = {(0,)}
+    todo = [(0,)]
+    while todo:
+        K = np.asarray(todo.pop(), dtype=np.int64)
+        tried = np.zeros(group.order, dtype=bool)
+        tried[K] = True
+        for g in range(1, group.order):
+            if not tried[g]:
+                cosets = _cosets(group, K, g)
+                # i g + K grows K to the same K + <g> whenever gcd(i, m) = 1
+                m = cosets.shape[1]
+                tried[cosets[:, [i for i in range(1, m) if math.gcd(i, m) == 1]]] = True
+                grown = tuple(np.sort(cosets, axis=None).tolist())
                 if grown not in seen:
                     seen.add(grown)
-                    nxt.append(grown)
-        frontier = nxt
-    subs = [Subgroup(group, el) for el in sorted(seen, key=lambda e: (len(e), e))]
-    return subs
+                    todo.append(grown)
+    return [Subgroup(group, el) for el in sorted(seen, key=lambda e: (len(e), e))]
 
 
 def groups_up_to_order(max_order: int, include_trivial: bool = False) -> list[FiniteAbelianGroup]:

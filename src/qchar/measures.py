@@ -2,6 +2,8 @@
 
 The characteristic function of mu is f(y) = sum_x <x, y> mu(x) over the
 dual (identified with the group); transforms go through the kernels module.
+Validators test `not (residual <= tol)`, so NaN fails them as it fails
+``polynomials.within``; inline, the hot constructors pay for no extra call.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .groups import (
     GroupElement,
     GroupHom,
     Subgroup,
-    _add_table,
+    _add,
     _characters,
     _neg_table,
     annihilator,
@@ -66,14 +68,14 @@ class Distribution:
             raise GroupMismatchError(
                 f"probability vector length {probs.shape} != group order {self.group.order}"
             )
-        if probs.min(initial=0.0) < -_MASS_TOL:
+        if not (probs.min(initial=0.0) >= -_MASS_TOL):
             i = int(probs.argmin())
             raise NotPositiveDefiniteError(
                 f"negative mass {probs[i]:.3e} at {self.group.coords(i)}",
                 worst_mass=float(probs[i]),
                 location=self.group.coords(i),
             )
-        if abs(probs.sum() - 1.0) > _MASS_TOL:
+        if not (abs(probs.sum() - 1.0) <= _MASS_TOL):
             raise ValueError(f"total mass {probs.sum()!r} is not 1")
         object.__setattr__(self, "probs", probs)
 
@@ -95,12 +97,12 @@ class CharacteristicFunction:
         values = np.asarray(self.values, dtype=np.complex128)
         if values.shape != (self.group.order,):
             raise GroupMismatchError("value vector length does not match group order")
-        if abs(values[0] - 1.0) > _CF_TOL:
+        if not (abs(values[0] - 1.0) <= _CF_TOL):
             raise ValueError(f"value at zero is {values[0]!r}, expected 1")
         neg = _neg_table(self.group)
-        if np.abs(values[neg] - values.conj()).max(initial=0.0) > _CF_TOL:
+        if not (np.abs(values[neg] - values.conj()).max(initial=0.0) <= _CF_TOL):
             raise ValueError("Hermitian symmetry f(-y) = conj f(y) fails")
-        if np.abs(values).max(initial=0.0) > 1.0 + _CF_TOL:
+        if not (np.abs(values).max(initial=0.0) <= 1.0 + _CF_TOL):
             raise ValueError("characteristic function exceeds modulus 1")
         object.__setattr__(self, "values", values)
 
@@ -166,9 +168,8 @@ def shifted_haar(group: FiniteAbelianGroup, x, sub: Subgroup) -> Distribution:
     """Uniform distribution on the coset x + K."""
     if sub.group != group:
         raise GroupMismatchError("subgroup lives on a different group")
-    add = _add_table(group)
     probs = np.zeros(group.order)
-    probs[add[group.as_index(x), np.asarray(sub.elements)]] = 1.0 / sub.order
+    probs[_add(group, group.as_index(x), np.asarray(sub.elements))] = 1.0 / sub.order
     return Distribution(group, probs)
 
 
@@ -198,8 +199,12 @@ def idempotent_shift_factor(dist: Distribution, tol: float = _PD_TOL):
     subgroup, and f restricted to N a character <x, .>.  Returns the
     lexicographically smallest shift and the subgroup K = A(X, N), or None.
     """
+    return _idempotent_shift_factor(dist, char_fn(dist).values, tol)
+
+
+def _idempotent_shift_factor(dist: Distribution, f: np.ndarray, tol: float = _PD_TOL):
+    """``idempotent_shift_factor`` for a caller that already holds f = char_fn(dist)."""
     group = dist.group
-    f = char_fn(dist).values
     mods = np.abs(f)
     if not ((mods <= tol) | (np.abs(mods - 1.0) <= tol)).all():
         return None
@@ -303,13 +308,12 @@ def linear_form_joint(joint: JointDistribution, rows) -> JointDistribution:
     m = len(rows)
     shape = tuple(g.order for g in joint.groups)
     per_factor = np.unravel_index(np.arange(joint.probs.size), shape)
-    add_t = _add_table(target)
     out_idx = np.zeros(joint.probs.size, dtype=np.int64)
     t_order = target.order
     for i, row in enumerate(rows):
         acc = np.zeros(joint.probs.size, dtype=np.int64)
         for j, h in enumerate(row):
-            acc = add_t[acc, h.table[per_factor[j]]]
+            acc = _add(target, acc, h.table[per_factor[j]])
         out_idx = out_idx * t_order + acc
     probs = np.zeros(t_order**m)
     np.add.at(probs, out_idx, joint.probs)

@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FactorizationError, GroupMismatchError, WindowExhaustedError
-from .groups import FiniteAbelianGroup, _add_table, _neg_table
+from .groups import FiniteAbelianGroup, _add, _neg_table
 
 __all__ = [
     "IntegerWindow",
@@ -164,8 +164,8 @@ def _shift_spec(f, h):
 def delta(f, h):
     """Forward difference D_h f(y) = f(y + h) - f(y)."""
     if isinstance(f, GroupFunction):
-        add = _add_table(f.group)
-        return GroupFunction(f.group, f.values[add[:, f.group.as_index(h)]] - f.values)
+        moved = _add(f.group, np.arange(f.group.order), f.group.as_index(h))
+        return GroupFunction(f.group, f.values[moved] - f.values)
     h = _shift_spec(f, h)
     if len(h) != f.window.dim:
         raise GroupMismatchError("shift dimension does not match window")
@@ -269,9 +269,9 @@ def quadratic_check(f, tol: float = 1e-12) -> float:
         neg = _neg_table(g)
         if not within(peak(vals[neg] - vals), tol):
             raise ValueError("f must be even")
-        add = _add_table(g)
-        sub = add[:, neg]
-        resid = vals[add] + vals[sub] - 2.0 * vals[:, None] - 2.0 * vals[None, :]
+        u = np.arange(g.order)[:, None]
+        resid = (vals[_add(g, u, u.T)] + vals[_add(g, u, neg[None, :])]
+                 - 2.0 * vals[:, None] - 2.0 * vals[None, :])
         return peak(resid)
     w = f.window
     N = w.radius

@@ -277,6 +277,13 @@ def parse_window_values(spec, where: str = "window") -> WindowFunction:
     raise ScenarioFormatError(f"{where}: need 'values' or 'coefficients'")
 
 
+def _parse_window_of_dim(spec, dim: int, where: str) -> WindowFunction:
+    f = parse_window_values(spec, where)
+    if f.window.dim != dim:
+        raise ScenarioFormatError(f"{where}: expected \"dim\": {dim}, got {f.window.dim}")
+    return f
+
+
 def _parse_coeffs(raw, dim: int, where: str) -> dict:
     coeffs = {}
     if not isinstance(raw, dict):
@@ -499,11 +506,11 @@ def _run_pexider_chain(payload: dict, tol: float) -> tuple[str, dict]:
         terms = []
         for i, t in enumerate(terms_spec):
             where = f"pexider-chain.terms[{i}]"
-            psi = parse_window_values(_need(t, "psi", where), f"{where}.psi")
+            psi = _parse_window_of_dim(_need(t, "psi", where), 1, f"{where}.psi")
             terms.append((psi, _parse_int(_need(t, "b", where), f"{where}.b")))
         R = None
         if "R" in payload:
-            R = parse_window_values(payload["R"], "pexider-chain.R")
+            R = _parse_window_of_dim(payload["R"], 2, "pexider-chain.R")
         problem = EliminationProblem(terms=tuple(terms), r_degree=l, R=R)
     try:
         trace = run_pexider_chain(problem)
@@ -527,8 +534,8 @@ def _run_heyde_chain(payload: dict, tol: float) -> tuple[str, dict]:
             raise ScenarioFormatError(f"heyde-chain: {exc}") from exc
         b = parse_automorphism(group, _need(payload, "b", "heyde-chain"), "heyde-chain.b")
     else:
-        psi1 = parse_window_values(_need(payload, "psi1", "heyde-chain"), "heyde-chain.psi1")
-        psi2 = parse_window_values(_need(payload, "psi2", "heyde-chain"), "heyde-chain.psi2")
+        psi1 = _parse_window_of_dim(_need(payload, "psi1", "heyde-chain"), 1, "heyde-chain.psi1")
+        psi2 = _parse_window_of_dim(_need(payload, "psi2", "heyde-chain"), 1, "heyde-chain.psi2")
         b = _parse_int(_need(payload, "b", "heyde-chain"), "heyde-chain.b")
     try:
         trace = run_heyde_chain(psi1, psi2, b, r_degree=l)

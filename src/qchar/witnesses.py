@@ -23,6 +23,7 @@ from .polynomials import (
     fit_polynomial_window,
     min_degree,
     poly_eval,
+    within,
 )
 
 __all__ = [
@@ -193,7 +194,7 @@ def extract_q_witness(joint, d_max: int = DEGREE_CAP, tol: float | None = None):
     if isinstance(joint, JointDistribution):
         tol = GROUP_Q_TOL if tol is None else tol
         resid = float(np.abs(joint.joint_cf().values - joint.marginal_cf_product()).max())
-        if resid > tol:
+        if not within(resid, tol):
             return None
         zero = GroupFunction(joint.product_group, np.zeros(joint.product_group.order))
         return QWitness(q=zero, degree=0, residual=resid, coefficients={})
@@ -244,7 +245,7 @@ def q_identical_witness(f1, f2, d_max: int = DEGREE_CAP, tol: float | None = Non
             raise GroupMismatchError("transforms on different groups")
         tol = GROUP_Q_TOL if tol is None else tol
         resid = float(np.abs(a.values - b.values).max())
-        if resid > tol:
+        if not within(resid, tol):
             return None
         zero = GroupFunction(a.group, np.zeros(a.group.order))
         return QWitness(q=zero, degree=0, residual=resid, coefficients={})

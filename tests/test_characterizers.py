@@ -170,6 +170,17 @@ def test_kb_factorize_recovers_coset_structure():
     assert out.shift_relation["residual"] == 0.0
 
 
+def test_kb_factorize_does_not_recompute_the_transforms(monkeypatch):
+    import qchar.measures
+
+    inst, _, w = z6_kb_instance()
+    calls = []
+    monkeypatch.setattr(qchar.measures, "char_fn", lambda d: calls.append(d) or char_fn(d))
+    out = kb_factorize(inst)
+    assert calls == []
+    assert [set(part.elements) for _, part in out.factors] == [set(w.elements)] * 2
+
+
 def test_kb_rejects_even_order_coset_laws():
     # shifted uniform laws on the order-2 subgroup of Z4 break the equation
     g = FiniteAbelianGroup((4,))

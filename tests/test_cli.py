@@ -355,3 +355,25 @@ def test_make_rng_is_philox():
     rng = make_rng(4)
     assert "Philox" in type(rng.bit_generator).__name__
     assert make_rng(4).random() == rng.random()
+
+
+@pytest.mark.parametrize("name, edit, where", [
+    ("window-two-terms", lambda p: p.update(R={"radius": 30, "values": [0.0] * 61}),
+     "pexider-chain.R"),
+    ("window-two-terms",
+     lambda p: p["terms"][0].update(psi={"radius": 40, "dim": 2, "coefficients": {"2,0": 1}}),
+     "pexider-chain.terms[0].psi"),
+    ("window-quadratics",
+     lambda p: p.update(psi1={"radius": 112, "dim": 2, "coefficients": {"2,0": 1}}),
+     "heyde-chain.psi1"),
+    ("window-quadratics",
+     lambda p: p.update(psi2={"radius": 112, "dim": 2, "coefficients": {"0,2": 2}}),
+     "heyde-chain.psi2"),
+], ids=["R", "term-psi", "psi1", "psi2"])
+def test_run_window_chain_wrong_dim_exits_two(tmp_path, capsys, name, edit, where):
+    scn = _full_surface(name)
+    edit(scn["payload"])
+    code, out, err = _run_edited(tmp_path, capsys, scn)
+    assert code == 2
+    assert out == ""
+    assert f"invalid input: {where}: expected \"dim\"" in err

@@ -1,9 +1,13 @@
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qchar.errors import (
     InvalidElementError,
     InvalidSubgroupError,
+    NotAHomomorphismError,
     NotAnAutomorphismError,
     SizeLimitError,
 )
@@ -12,6 +16,7 @@ from qchar.groups import (
     FiniteAbelianGroup,
     GroupHom,
     Subgroup,
+    _add,
     adjoint,
     all_subgroups,
     annihilator,
@@ -206,3 +211,81 @@ def test_groups_up_to_order_catalogue():
     assert (2, 4) in sigs
     assert (8,) in sigs
     assert len([s for s in sigs if int(np.prod(s)) == 4]) == 2
+
+
+# -- index arithmetic against exhaustive references ------------------------------
+
+
+def test_add_matches_coordinate_addition_on_all_pairs():
+    for g in groups_up_to_order(32):
+        idx = np.arange(g.order)
+        ref = np.array([[g.index(g.add(g.coords(x), g.coords(y))) for y in idx] for x in idx])
+        assert np.array_equal(_add(g, idx[:, None], idx[None, :]), ref), g.orders
+        assert int(_add(g, 1, g.order - 1)) == g.index(g.add(g.coords(1), g.coords(g.order - 1)))
+
+
+def _additive(source, target, table):
+    """All-pairs reference: table[x + y] == table[x] + table[y] for every pair."""
+    return all(_pair_additive(source, target, table, a, b)
+               for a in range(source.order) for b in range(source.order))
+
+
+def _pair_additive(source, target, table, a, b):
+    lhs = table[source.index(source.add(source.coords(a), source.coords(b)))]
+    return lhs == target.index(target.add(target.coords(table[a]), target.coords(table[b])))
+
+
+@pytest.mark.parametrize("orders", [((4,), (4,)), ((2, 2), (2, 2)), ((4,), (2, 2)), ((3,), (9,))],
+                         ids=str)
+def test_hom_accepts_exactly_the_additive_tables(orders):
+    source, target = FiniteAbelianGroup(orders[0]), FiniteAbelianGroup(orders[1])
+    accepted = 0
+    for table in itertools.product(range(target.order), repeat=source.order):
+        table = np.asarray(table)
+        expected = _additive(source, target, table)
+        try:
+            GroupHom(source, target, table)
+        except NotAHomomorphismError as exc:
+            assert not expected, table
+            a, b = exc.witness
+            assert not _pair_additive(source, target, table, a, b), (table, exc.witness)
+        else:
+            assert expected, table
+            accepted += 1
+    # Hom(Z_m, Z_n) has gcd(m, n) elements, and Hom is additive over products
+    assert accepted == {((4,), (4,)): 4, ((2, 2), (2, 2)): 16,
+                        ((4,), (2, 2)): 4, ((3,), (9,)): 3}[orders]
+
+
+@pytest.mark.parametrize("orders", [(8,), (2, 4), (3, 3)], ids=str)
+def test_subgroup_accepts_exactly_the_closed_subsets(orders):
+    g = FiniteAbelianGroup(orders)
+    found = set()
+    for mask in range(1 << (g.order - 1)):
+        subset = (0,) + tuple(i for i in range(1, g.order) if mask >> (i - 1) & 1)
+        closed = all(g.index(g.add(g.coords(a), g.coords(b))) in subset
+                     for a in subset for b in subset)
+        try:
+            Subgroup(g, subset)
+        except InvalidSubgroupError:
+            assert not closed, subset
+        else:
+            assert closed, subset
+            found.add(subset)
+    assert found == {s.elements for s in all_subgroups(g)}
+
+
+def test_order_4096_multiplication_allocates_far_below_a_square_table():
+    g = FiniteAbelianGroup((4096,))
+    Automorphism.multiplication(g, 3)  # fills the O(|G|) coordinate caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        hom = Automorphism.multiplication(g, 3)
+        del hom
+        kept, peak = (m - before for m in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    # a |G| x |G| table takes at least |G|^2 bytes (16 MiB here)
+    assert peak < g.order * g.order // 64
+    assert kept < 1024

@@ -38,6 +38,16 @@ def test_distribution_validation():
         Distribution(g, np.array([0.3, 0.3, 0.3, 0.3]))
 
 
+def test_distribution_with_nan_mass_is_rejected():
+    with pytest.raises(ValueError):
+        Distribution(FiniteAbelianGroup((5,)), np.array([np.nan, 0.5, 0.5, 0.0, 0.0]))
+
+
+def test_characteristic_function_with_nan_is_rejected():
+    with pytest.raises(ValueError):
+        CharacteristicFunction(FiniteAbelianGroup((5,)), np.array([1.0, np.nan, 0.0, 0.0, np.nan]))
+
+
 def test_char_fn_round_trip(rng):
     g = FiniteAbelianGroup((3, 4))
     d = random_distribution(g, rng)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 import qchar.polynomials as polynomials
 from qchar.elimination import EliminationProblem, run_pexider_chain
-from qchar.groups import Automorphism, FiniteAbelianGroup, _add_table, groups_up_to_order
+from qchar.groups import Automorphism, FiniteAbelianGroup, groups_up_to_order
 from qchar.polynomials import (
     GROUP_POLY_TOL,
     WINDOW_POLY_TOL,
@@ -150,11 +152,15 @@ def test_degree_detection_matches_leading_term(coeffs):
 def _shift_scan(f):
     """Degree-0 residual the long way: max |f(x + h) - f(x)| over every shift h.
 
-    A NaN difference makes the result NaN, as in ``polynomials.peak``.
+    f(x + h) is read by rolling the values on the group's coordinate grid.  A
+    NaN difference makes the result NaN, as in ``polynomials.peak``.
     """
-    add = _add_table(f.group)
-    peaks = [float(np.abs(f.values[add[:, h]] - f.values).max(initial=0.0))
-             for h in range(1, f.group.order)]
+    g = f.group
+    grid = np.asarray(f.values).reshape(g.orders)
+    peaks = []
+    for h in range(1, g.order):
+        moved = np.roll(grid, [-c for c in g.coords(h)], axis=tuple(range(g.rank))).ravel()
+        peaks.append(float(np.abs(moved - f.values).max(initial=0.0)))
     return float(np.max(peaks, initial=0.0))
 
 
@@ -220,25 +226,23 @@ def test_certificate_constructor_keeps_given_coefficients():
     assert PolynomialCertificate(degree=0, residual=0.5).coefficients is None
 
 
-def test_constant_group_chain_builds_no_square_add_table(monkeypatch):
-    built = []
-
-    def recording(group):
-        built.append(group.order)
-        return _add_table(group)
-
-    for name in ("groups", "polynomials", "elimination", "measures", "characterizers"):
-        monkeypatch.setattr(f"qchar.{name}._add_table", recording)
+def test_constant_group_chain_builds_no_square_add_table():
     g = FiniteAbelianGroup((64,))
     problem = EliminationProblem(
         terms=[(GroupFunction(g, np.full(64, 0.7)), Automorphism.multiplication(g, 1)),
                (GroupFunction(g, np.full(64, -0.2)), Automorphism.multiplication(g, 3))],
         r_degree=0,
     )
-    trace = run_pexider_chain(problem)
+    tracemalloc.start()
+    try:
+        trace = run_pexider_chain(problem)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert trace.cross_degree == 0 and trace.p_degree == 0
-    assert 64 in built
-    assert 64 * 64 not in built
+    # an addition table of G x G (order 4096) takes at least 4096^2 bytes
+    square = 64 * 64
+    assert peak < square * square // 16
 
 
 # -- non-finite data never certify ----------------------------------------------

@@ -30,6 +30,14 @@ def test_correlated_joint_yields_no_witness():
     assert extract_q_witness(j) is None
 
 
+def test_joint_with_nan_mass_gets_no_witness():
+    g = FiniteAbelianGroup((3,))
+    probs = np.full(9, 1.0 / 8)
+    probs[4] = np.nan
+    with pytest.raises(ValueError):
+        extract_q_witness(JointDistribution((g, g), probs))
+
+
 def test_three_factor_product(rng):
     g = FiniteAbelianGroup((2, 2))
     dists = [random_distribution(g, rng) for _ in range(3)]
