@@ -45,7 +45,7 @@ from .measures import (
     _idempotent_shift_factor,
     inverse_char_fn,
 )
-from .polynomials import GroupFunction, WindowFunction, constancy_check, within
+from .polynomials import GroupFunction, WindowFunction, constancy_check, peak, within
 from .witnesses import QWitness, extract_q_witness
 
 __all__ = [
@@ -608,24 +608,24 @@ def cramer_check(gamma, factor1, factor2, q=None, tol: float = CHECK_TOL) -> Cra
             raise GroupMismatchError("diagonal witness must live on the dual group")
         rhs = np.asarray(factor1.values) * np.asarray(factor2.values)
         if q is not None:
-            if abs(q.values[0]) > 1e-10:
+            if not within(abs(q.values[0]), 1e-10):
                 raise ValueError("witness must vanish at zero")
             rhs = rhs * np.exp(np.asarray(q.values))
-        resid = float(np.abs(np.asarray(gamma.values) - rhs).max())
-        if resid > tol:
+        resid = peak(np.asarray(gamma.values) - rhs)
+        if not within(resid, tol):
             raise HypothesisError(
                 f"factor identity fails with residual {resid:.3e}", residual=resid
             )
-        gflat = float(np.abs(np.abs(gamma.values) - 1.0).max())
-        if gflat > tol:
+        gflat = peak(np.abs(gamma.values) - 1.0)
+        if not within(gflat, tol):
             raise HypothesisError(
                 f"target is not unit-modulus (defect {gflat:.3e})", residual=gflat
             )
         gpoint = _locate_character(group, gamma.values, tol)
         verdicts = []
         for j, f in enumerate(cfs):
-            flat = float(np.abs(np.abs(f.values) - 1.0).max())
-            if flat > tol:
+            flat = peak(np.abs(f.values) - 1.0)
+            if not within(flat, tol):
                 raise FactorizationError(
                     f"factor {j} of a unit-modulus transform has defect {flat:.3e}"
                 )
@@ -650,7 +650,7 @@ def cramer_check(gamma, factor1, factor2, q=None, tol: float = CHECK_TOL) -> Cra
         if not isinstance(fv, WindowFunction) or fv.window != g_vals.window:
             raise GroupMismatchError("factor windows must match the target window")
         dmin = _window_density_min(fv)
-        if dmin < -1e-9:
+        if not within(-dmin, 1e-9):
             raise HypothesisError(
                 f"factor {j} fails positive-definiteness: density minimum {dmin:.3e}",
                 residual=dmin,
@@ -661,8 +661,8 @@ def cramer_check(gamma, factor1, factor2, q=None, tol: float = CHECK_TOL) -> Cra
         if not isinstance(qv, WindowFunction) or qv.window != g_vals.window:
             raise GroupMismatchError("diagonal witness window must match the target")
         rhs = rhs * np.exp(np.asarray(qv.values))
-    resid = float(np.abs(np.asarray(g_vals.values) - rhs).max())
-    if resid > tol:
+    resid = peak(np.asarray(g_vals.values) - rhs)
+    if not within(resid, tol):
         raise HypothesisError(
             f"factor identity fails with residual {resid:.3e}", residual=resid
         )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionRejectedError, UndefinedLogError
-from .polynomials import IntegerWindow, WindowFunction, quadratic_check
+from .polynomials import IntegerWindow, WindowFunction, peak, quadratic_check, within
 from .witnesses import SpectralJoint
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "gate_sum",
     "exp_poly_distribution",
     "gaussian_distribution",
+    "gaussian_truncation",
     "sum_difference_q",
     "sum_difference_joint",
     "gaussian_check",
@@ -34,6 +35,8 @@ COEFF_FLOOR = 1e-15
 TAIL_TOL = 1e-12
 DENSITY_GRID = 4096
 DENSITY_TOL = 1e-9
+# density_grid oversamples the coefficients 4x, so truncations stop here
+TRUNCATION_CAP = DENSITY_GRID // 4
 
 
 @dataclass(frozen=True)
@@ -119,9 +122,9 @@ class CircleDistribution:
         coeffs = np.asarray(self.coeffs, dtype=np.complex128)
         if coeffs.shape != (2 * N + 1,):
             raise ValueError(f"expected {2 * N + 1} coefficients, got {coeffs.shape}")
-        if abs(coeffs[N] - 1.0) > 1e-12:
+        if not within(abs(coeffs[N] - 1.0), 1e-12):
             raise ValueError(f"c_0 must be 1, got {coeffs[N]!r}")
-        if np.abs(coeffs[::-1] - coeffs.conj()).max() > 1e-12:
+        if not within(peak(coeffs[::-1] - coeffs.conj()), 1e-12):
             raise ValueError("coefficients must be Hermitian")
         if not self.tail_bound < TAIL_TOL:
             raise ValueError(f"tail bound {self.tail_bound:.3e} not certified below {TAIL_TOL}")
@@ -132,9 +135,9 @@ class CircleDistribution:
                 raise ValueError("log coefficient shape mismatch")
             object.__setattr__(self, "log_coeffs", logs)
         _, dens = density_grid(self, DENSITY_GRID)
-        if dens.min() < -DENSITY_TOL:
+        if not within(-dens.min(), DENSITY_TOL):
             raise ValueError(f"density reaches {dens.min():.3e} on the grid")
-        if abs(dens.mean() - 1.0) > DENSITY_TOL:
+        if not within(abs(dens.mean() - 1.0), DENSITY_TOL):
             raise ValueError("grid mean of the density is not 1")
 
     def coeff(self, n: int) -> complex:
@@ -206,16 +209,27 @@ def exp_poly_distribution(phi: EvenPolynomial, min_truncation: int | None = None
     )
 
 
-def gaussian_distribution(shift: float, sigma: float,
-                          min_truncation: int | None = None) -> CircleDistribution:
-    """Gaussian spectral data c_n = exp(i n shift - sigma n^2); sigma > 0."""
-    if sigma <= 0:
+def gaussian_truncation(sigma: float, min_truncation: int | None = None) -> int:
+    """Least N >= 1 with exp(-sigma N^2) < COEFF_FLOOR, raised to min_truncation;
+    ValueError over TRUNCATION_CAP, for a tiny sigma before any loop runs."""
+    if not sigma > 0:
         raise ValueError("sigma must be positive; degenerate data is rejected upstream")
+    if math.sqrt(-math.log(COEFF_FLOOR) / sigma) > TRUNCATION_CAP:
+        raise ValueError(f"sigma {sigma!r} needs a truncation above {TRUNCATION_CAP}")
     N = 1
     while math.exp(-sigma * N * N) >= COEFF_FLOOR:
         N += 1
     if min_truncation is not None:
         N = max(N, int(min_truncation))
+    if N > TRUNCATION_CAP:
+        raise ValueError(f"truncation {N} is above {TRUNCATION_CAP}")
+    return N
+
+
+def gaussian_distribution(shift: float, sigma: float,
+                          min_truncation: int | None = None) -> CircleDistribution:
+    """Gaussian spectral data c_n = exp(i n shift - sigma n^2); sigma > 0."""
+    N = gaussian_truncation(sigma, min_truncation)
     tail = 0.0
     m = N + 1
     while True:
@@ -317,7 +331,7 @@ def gaussian_check(f: WindowFunction, logs: WindowFunction | None = None,
         theta = lv.imag
     else:
         vals = np.asarray(f.values, dtype=np.complex128)
-        if np.abs(vals).min() <= 1e-12:
+        if not np.abs(vals).min() > 1e-12:
             raise UndefinedLogError("spectral values vanish on the window")
         from .witnesses import _continuous_log
 
@@ -330,13 +344,13 @@ def gaussian_check(f: WindowFunction, logs: WindowFunction | None = None,
         resid = quadratic_check(WindowFunction(f.window, mag), tol=tol)
     except ValueError:
         return None
-    if resid > tol:
+    if not within(resid, tol):
         return None
     sigma = float(mag[N + 1]) if N >= 1 else 0.0
-    if sigma < -tol:
+    if not within(-sigma, tol):
         return None
     x = float(theta[N + 1]) if N >= 1 else 0.0
     n_axis = np.arange(-N, N + 1)
-    if np.abs(theta - x * n_axis).max() > max(tol, tol * N):
+    if not within(peak(theta - x * n_axis), max(tol, tol * N)):
         return None
     return GaussianSpec(shift=float(np.mod(x, 2.0 * np.pi)), sigma=max(sigma, 0.0))

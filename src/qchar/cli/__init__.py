@@ -13,51 +13,15 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-import jsonschema
-
 from ..scenarios import (
-    SCENARIO_KINDS,
     SWEEP_KINDS,
     ScenarioFormatError,
+    check_document,
     run_construct,
     run_inspect,
     run_scenario,
     run_sweep,
 )
-
-_EXPECTS = ["pass", "fail", "hypothesis-violated", "counterexample"]
-
-SCENARIO_SCHEMA = {
-    "type": "object",
-    "required": ["schema", "kind", "payload"],
-    "properties": {
-        "schema": {"const": "qchar-scenario-1"},
-        "kind": {"enum": list(SCENARIO_KINDS)},
-        "name": {"type": "string"},
-        "expect": {"enum": _EXPECTS},
-        "payload": {"type": "object"},
-    },
-    "additionalProperties": False,
-}
-
-FILE_SCHEMA = {
-    "oneOf": [
-        SCENARIO_SCHEMA,
-        {
-            "type": "object",
-            "required": ["schema", "scenarios"],
-            "properties": {
-                "schema": {"const": "qchar-scenario-1"},
-                "scenarios": {
-                    "type": "array",
-                    "items": SCENARIO_SCHEMA,
-                    "minItems": 1,
-                },
-            },
-            "additionalProperties": False,
-        },
-    ]
-}
 
 
 def canonical_json(obj) -> str:
@@ -126,7 +90,8 @@ def _exit_code(reports: list[dict]) -> int:
     return 0 if all(r["matched"] for r in reports) else 1
 
 
-def _load_scenarios(paths: list[str]) -> list[dict]:
+def _load_scenarios(paths: list[str]) -> list[tuple[str, dict]]:
+    """Validated scenarios of the files, each with its location "file: $..."."""
     scenarios = []
     for path in paths:
         try:
@@ -134,28 +99,37 @@ def _load_scenarios(paths: list[str]) -> list[dict]:
                 doc = json.load(fh)
         except OSError as exc:
             raise ScenarioFormatError(f"{path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ScenarioFormatError(f"{path}: invalid JSON: {exc}") from exc
         try:
-            jsonschema.validate(doc, FILE_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            best = jsonschema.exceptions.best_match([exc])
-            raise ScenarioFormatError(
-                f"{path}: schema violation at {best.json_path}: {best.message}"
-            ) from exc
+            check_document(doc)
+        except ScenarioFormatError as exc:
+            raise ScenarioFormatError(f"{path}: {exc}") from exc
         if "scenarios" in doc:
-            scenarios.extend(doc["scenarios"])
+            scenarios.extend((f"{path}: $.scenarios[{i}]", s)
+                             for i, s in enumerate(doc["scenarios"]))
         else:
-            scenarios.append(doc)
+            scenarios.append((f"{path}: $", doc))
     return scenarios
+
+
+def _located(where: str, run, *args) -> dict:
+    """run(*args), placing a payload input error under the scenario at ``where``."""
+    try:
+        return run(*args)
+    except ScenarioFormatError as exc:
+        if exc.path is None:
+            raise
+        raise ScenarioFormatError(f"{where}.payload{exc.path}: {exc.reason}") from exc
 
 
 def _cmd_run(args) -> int:
     scenarios = _load_scenarios(args.files)
     profile = args.tolerance_profile
 
-    def one(s):
-        return run_scenario(s, profile=profile)
+    def one(located):
+        where, scenario = located
+        return _located(where, run_scenario, scenario, profile)
 
     if args.workers > 1:
         with ThreadPoolExecutor(max_workers=args.workers) as pool:
@@ -182,31 +156,25 @@ def _parse_inline_json(text: str, what: str) -> dict:
         except OSError as exc:
             raise ScenarioFormatError(f"{what}: {exc}") from exc
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text)
+    except ValueError as exc:
         raise ScenarioFormatError(f"{what}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ScenarioFormatError(f"{what}: expected a JSON object")
-    return doc
 
 
 def _cmd_construct(args) -> int:
     phi = _parse_inline_json(args.phi, "--phi")
     pair = _parse_inline_json(args.pair_phi, "--pair-phi") if args.pair_phi else None
-    report = run_construct(phi, min_truncation=args.min_truncation,
-                           radius=args.radius, pair_phi=pair)
+    report = _located("$", run_construct, phi, args.min_truncation, args.radius, pair)
     _write(canonical_json(report), args.out)
     return _exit_code([report])
 
 
 def _cmd_inspect(args) -> int:
-    if args.target != "group":
-        raise ScenarioFormatError(f"unknown inspect target {args.target!r}")
     try:
         orders = [int(o) for o in args.orders.split(",")]
     except ValueError as exc:
         raise ScenarioFormatError(f"--orders: {exc}") from exc
-    report = run_inspect(orders)
+    report = _located("$", run_inspect, orders)
     _write(canonical_json(report), args.out)
     return _exit_code([report])
 

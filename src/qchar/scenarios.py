@@ -1,10 +1,12 @@
-"""Scenario payload parsing and execution for the command line driver.
+"""Scenario format and execution for the command line driver.
 
 A scenario is a JSON object {"schema": "qchar-scenario-1", "kind": ...,
-"payload": {...}, "expect": ...}.  Running one produces a report dict with
-a verdict from {"pass", "fail", "hypothesis-violated", "counterexample"}
-and kind-specific details.  The driver compares verdicts against the
-scenario's expectation to decide the process exit code.
+"payload": {...}, "expect": ...}.  ``DOCUMENT_SCHEMA`` states the whole
+format, one payload schema per kind; ``check_document`` validates a file
+against it.  Running a valid scenario produces a report dict with a verdict
+from {"pass", "fail", "hypothesis-violated", "counterexample"} and
+kind-specific details.  The driver compares verdicts against the scenario's
+expectation to decide the process exit code.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from jsonschema import Draft202012Validator
+from jsonschema.exceptions import best_match
 
 from .characterizers import (
     HeydeInstance,
@@ -25,10 +29,12 @@ from .characterizers import (
     sd_conclude,
 )
 from .circle import (
+    TRUNCATION_CAP,
     EvenPolynomial,
     exp_poly_distribution,
     gate_sum,
     gaussian_distribution,
+    gaussian_truncation,
     sum_difference_joint,
 )
 from .elimination import EliminationProblem, run_heyde_chain, run_pexider_chain
@@ -44,6 +50,7 @@ from .errors import (
     WindowExhaustedError,
 )
 from .groups import (
+    ORDER_CAP,
     Automorphism,
     FiniteAbelianGroup,
     GroupHom,
@@ -64,13 +71,23 @@ from .measures import (
     random_distribution,
     shifted_haar,
 )
-from .polynomials import GroupFunction, IntegerWindow, WindowFunction, poly_eval
+from .polynomials import (
+    DEGREE_CAP,
+    GroupFunction,
+    IntegerWindow,
+    WindowFunction,
+    peak,
+    poly_eval,
+    within,
+)
 from .witnesses import QWitness, extract_q_witness
 
 __all__ = [
-    "SCENARIO_KINDS",
     "SWEEP_KINDS",
+    "SCENARIO_SCHEMA",
+    "DOCUMENT_SCHEMA",
     "ScenarioFormatError",
+    "check_document",
     "run_scenario",
     "run_sweep",
     "run_inspect",
@@ -78,24 +95,24 @@ __all__ = [
     "make_rng",
 ]
 
-SCENARIO_KINDS = (
-    "group-inspect",
-    "q-witness",
-    "sd",
-    "heyde",
-    "kb",
-    "cramer",
-    "pexider-chain",
-    "heyde-chain",
-    "circle-construct",
-)
 SWEEP_KINDS = ("independence-collapse", "convolution")
+EXPECTS = ("pass", "fail", "hypothesis-violated", "counterexample")
 
 PROFILES = {"default": 1e-9, "strict": 1e-12}
 
 
 class ScenarioFormatError(ValueError):
-    """Payload is structurally valid JSON but not a usable scenario."""
+    """Scenario input that is not usable.
+
+    ``path`` locates the offending field below the scenario's payload in
+    JSONPath form (``.terms[0].psi.radius``); it is None when the message
+    says where the error is.
+    """
+
+    def __init__(self, reason: str, path: str | None = None):
+        super().__init__(reason if path is None else f"payload{path}: {reason}")
+        self.reason = reason
+        self.path = path
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -103,212 +120,280 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-# ---- payload parsing ------------------------------------------------------
+# ---- the scenario format ----------------------------------------------------
 
 
-def _need(payload: dict, key: str, where: str):
-    if key not in payload:
-        raise ScenarioFormatError(f"{where}: missing required key {key!r}")
-    return payload[key]
+def _obj(required=(), **properties) -> dict:
+    return {"type": "object", "required": list(required), "properties": properties,
+            "additionalProperties": False}
 
 
-def parse_group(spec, where: str = "group") -> FiniteAbelianGroup:
-    if not isinstance(spec, dict) or "orders" not in spec:
-        raise ScenarioFormatError(f"{where}: expected an object with 'orders'")
+def _int(low: int, high: int) -> dict:
+    return {"type": "integer", "minimum": low, "maximum": high}
+
+
+def _array(items, **bounds) -> dict:
+    return {"type": "array", "items": items, **bounds}
+
+
+def _tagged(tag: str, branches: dict) -> dict:
+    """Object whose ``tag`` value picks one of the closed schemas in ``branches``,
+    through an if/else chain: a valid object meets half the branches on average."""
+    schema = {"required": [tag], "properties": {tag: {"enum": list(branches)}}}
+    for name, branch in reversed(branches.items()):
+        schema = {"if": {"properties": {tag: {"const": name}}},
+                  "then": {**branch, "required": [tag, *branch["required"]],
+                           "properties": {tag: True, **branch["properties"]}},
+                  "else": schema}
+    return {"type": "object", **schema}
+
+
+def _one_of_keys(schema: dict) -> dict:
+    return {**schema, "minProperties": 1, "maxProperties": 1}
+
+
+def _either(key: str, then: dict, otherwise: dict) -> dict:
+    """``then`` for an object holding ``key``, ``otherwise`` for one without."""
+    return {"type": "object", "if": {"required": [key]}, "then": then, "else": otherwise}
+
+
+# A product of cyclic factors of order >= 2 under the order cap has at most
+# this many factors; joints are capped the same way.
+_RANK_CAP = ORDER_CAP.bit_length() - 1
+# A number, or an exact rational string such as "3/8", "-0.25" or "1e-3" (a
+# pattern constrains strings only).  Its float must also be finite.
+_RATIONAL = r"^[+-]?([0-9]+/0*[1-9][0-9]*|([0-9]+\.?[0-9]*|\.[0-9]+)([eE][+-]?[0-9]{1,3})?)$"
+_NUMBER = {"type": ["number", "string"], "pattern": _RATIONAL}
+_NUMBERS = _array(_NUMBER)
+# Coordinates, multipliers and matrix entries act modulo orders <= ORDER_CAP.
+_COORD = _int(-ORDER_CAP, ORDER_CAP)
+_POINT = _array(_COORD)
+_POINTS = _array(_POINT)
+# Circle radii and truncations stay within the reach of the density grid.
+_RADIUS = _int(1, TRUNCATION_CAP)
+_R_DEGREE = _int(0, DEGREE_CAP)
+
+_GROUP = _obj(["orders"], orders=_array(_int(1, ORDER_CAP), maxItems=_RANK_CAP))
+_SUBGROUP = _one_of_keys(_obj(generators=_POINTS, elements=_POINTS))
+_DISTRIBUTION = _either("probs", _obj(["probs"], probs=_NUMBERS), _tagged("kind", {
+    "degenerate": _obj(["point"], point=_POINT),
+    "haar": _obj(subgroup=_SUBGROUP),
+    "shifted-haar": _obj(["point", "subgroup"], point=_POINT, subgroup=_SUBGROUP),
+}))
+_JOINT = _either("kind", _obj(["kind", "factors"], kind={"const": "product"},
+                              factors=_array(_DISTRIBUTION, minItems=1, maxItems=_RANK_CAP)),
+                 _obj(["probs"], probs=_NUMBERS, arity=_int(1, _RANK_CAP)))
+_HOM = _one_of_keys(_obj(scalar=_COORD, matrix=_array(_POINT),
+                         table=_array(_int(0, ORDER_CAP - 1))))
+
+
+def _coefficients_schema(dim: int) -> dict:
+    """Polynomial coefficients keyed by comma-separated exponents, one per axis."""
+    key = ",".join(["[0-9]{1,2}"] * dim)
+    return {"type": "object", "propertyNames": {"pattern": f"^{key}$"},
+            "additionalProperties": _NUMBER}
+
+
+def _window_schema(dim: int) -> dict:
+    """Values or polynomial coefficients on the window [-radius, radius]^dim."""
+    schema = _obj(["radius"] if dim == 1 else ["radius", "dim"],
+                  radius=_int(0, TRUNCATION_CAP), dim={"const": dim},
+                  values=_NUMBERS if dim == 1 else _array(_NUMBERS),
+                  coefficients=_coefficients_schema(dim))
+    return {**schema, "oneOf": [{"required": ["values"]}, {"required": ["coefficients"]}]}
+
+
+_EVEN_POLY = _obj(["even_coeffs"], even_coeffs={
+    "type": "object", "minProperties": 1, "additionalProperties": _NUMBER,
+    "propertyNames": {"pattern": "^([2468]|[1-9][02468])$"}})
+_CIRCLE_FACTOR = _obj(["sigma"], shift=_NUMBER, sigma={"type": "number", "exclusiveMinimum": 0},
+                      perturb=_obj(["offset", "amount"], amount=_NUMBER,
+                                   offset=_int(-TRUNCATION_CAP, TRUNCATION_CAP)))
+
+
+def _chain(required: list, group_mode: dict, window_mode: dict) -> dict:
+    return _either("group", _obj(["group", *required], group=_GROUP, r_degree=_R_DEGREE,
+                                 **group_mode), _obj(required, r_degree=_R_DEGREE, **window_mode))
+
+
+_PAYLOADS = {
+    "group-inspect": _obj(["group"], group=_GROUP),
+    "q-witness": _obj(["group", "joint"], group=_GROUP, joint=_JOINT,
+                      expect_witness={"type": "boolean"}),
+    "sd": _obj(["group", "components"], group=_GROUP, components=_array(
+        _obj(["distribution", "alpha", "beta"], distribution=_DISTRIBUTION, alpha=_HOM, beta=_HOM),
+        minItems=2)),
+    "heyde": _obj(["group", "alpha", "joint"], group=_GROUP, alpha=_HOM, joint=_JOINT),
+    "kb": _obj(["group", "first", "second"], group=_GROUP, first=_DISTRIBUTION,
+               second=_DISTRIBUTION),
+    "cramer": {
+        "type": "object",
+        "if": {"required": ["mode"], "properties": {"mode": {"const": "circle"}}},
+        "then": _obj(["mode", "target", "factors"], mode=True, radius=_RADIUS,
+                     min_truncation=_RADIUS, target=_CIRCLE_FACTOR,
+                     factors=_array(_CIRCLE_FACTOR, minItems=2, maxItems=2)),
+        "else": _obj(["group", "target", "factors"], mode={"const": "group"}, group=_GROUP,
+                     target=_DISTRIBUTION,
+                     factors=_array(_DISTRIBUTION, minItems=2, maxItems=2)),
+    },
+    "pexider-chain": _chain(
+        ["terms"],
+        {"terms": _array(_obj(["values", "b"], values=_NUMBERS, b=_HOM), minItems=1)},
+        {"terms": _array(_obj(["psi", "b"], psi=_window_schema(1), b=_COORD), minItems=1),
+         "R": _window_schema(2)}),
+    "heyde-chain": _chain(["psi1", "psi2", "b"], {"psi1": _NUMBERS, "psi2": _NUMBERS, "b": _HOM},
+                          {"psi1": _window_schema(1), "psi2": _window_schema(1), "b": _COORD}),
+    "circle-construct": _obj(["phi"], phi=_EVEN_POLY, pair_phi=_EVEN_POLY,
+                             min_truncation=_RADIUS, radius=_RADIUS,
+                             expect_coefficients=_coefficients_schema(2)),
+}
+SCENARIO_SCHEMA = _tagged("kind", {
+    kind: _obj(["schema", "payload"], schema={"const": "qchar-scenario-1"},
+               name={"type": "string"}, expect={"enum": list(EXPECTS)}, payload=payload)
+    for kind, payload in _PAYLOADS.items()})
+DOCUMENT_SCHEMA = _either("scenarios", _obj(["schema", "scenarios"],
+                                             schema={"const": "qchar-scenario-1"},
+                                             scenarios=_array(SCENARIO_SCHEMA, minItems=1)),
+                          SCENARIO_SCHEMA)
+_VALIDATOR = Draft202012Validator(DOCUMENT_SCHEMA)
+
+
+def check_document(doc) -> None:
+    """Raise ScenarioFormatError at the JSONPath of the worst schema violation in
+    a document: one scenario, or {"schema": ..., "scenarios": [...]}."""
+    error = best_match(_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        raise ScenarioFormatError(f"{error.json_path}: {error.message}")
+
+
+# ---- payload builders ---------------------------------------------------------
+#
+# Builders read payloads that satisfy the schema.  They check only what it
+# cannot state (masses summing to 1, lengths against group orders, finite
+# floats, closure, invertibility, reach), and ``_at`` and ``_each`` add the
+# path of the field to each such error.
+
+
+def _under(step: str, exc: Exception) -> ScenarioFormatError:
+    """``exc`` as an input error of the payload field at ``step``, as ".radius"."""
+    if isinstance(exc, ScenarioFormatError):
+        return ScenarioFormatError(exc.reason, step + (exc.path or ""))
+    return ScenarioFormatError(str(exc), step)
+
+
+def _at(spec: dict, key: str, build, *args):
+    """build(*args, spec[key]), its input errors attributed to the field ``key``."""
     try:
-        return FiniteAbelianGroup(_parse_coords(spec["orders"], f"{where}.orders"))
-    except QcharError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
-
-
-def _parse_number(x, where: str) -> float:
-    if isinstance(x, str):
-        try:
-            return float(Fraction(x))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ScenarioFormatError(f"{where}: bad rational literal {x!r}") from exc
-    if isinstance(x, (int, float)):
-        try:
-            value = float(x)
-        except OverflowError as exc:
-            raise ScenarioFormatError(f"{where}: {x!r} overflows a float") from exc
-        if not math.isfinite(value):
-            raise ScenarioFormatError(f"{where}: expected a finite number, got {x!r}")
-        return value
-    raise ScenarioFormatError(f"{where}: expected number or rational string")
-
-
-def _parse_int(x, where: str) -> int:
-    if isinstance(x, int) and not isinstance(x, bool):
-        return x
-    if isinstance(x, float) and x.is_integer():
-        return int(x)
-    raise ScenarioFormatError(f"{where}: expected an integer, got {x!r}")
-
-
-def _parse_list(x, where: str) -> list:
-    if not isinstance(x, list):
-        raise ScenarioFormatError(f"{where}: expected a list, got {x!r}")
-    return x
-
-
-def _parse_coords(x, where: str) -> tuple[int, ...]:
-    return tuple(_parse_int(c, f"{where}[{j}]") for j, c in enumerate(_parse_list(x, where)))
-
-
-def _parse_points(x, where: str) -> list[tuple[int, ...]]:
-    return [_parse_coords(c, f"{where}[{i}]") for i, c in enumerate(_parse_list(x, where))]
-
-
-def _parse_numbers(x, where: str) -> np.ndarray:
-    return np.asarray([_parse_number(v, f"{where}[{i}]")
-                       for i, v in enumerate(_parse_list(x, where))])
-
-
-def parse_subgroup(group: FiniteAbelianGroup, spec, where: str = "subgroup") -> Subgroup:
-    if not isinstance(spec, dict):
-        raise ScenarioFormatError(f"{where}: expected an object")
-    try:
-        if "generators" in spec:
-            return Subgroup.from_generators(
-                group, _parse_points(spec["generators"], f"{where}.generators"))
-        if "elements" in spec:
-            points = _parse_points(spec["elements"], f"{where}.elements")
-            return Subgroup(group, tuple(sorted(group.as_index(c) for c in points)))
-    except QcharError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
-    raise ScenarioFormatError(f"{where}: need 'generators' or 'elements'")
-
-
-def parse_distribution(group: FiniteAbelianGroup, spec, where: str = "distribution") -> Distribution:
-    if not isinstance(spec, dict):
-        raise ScenarioFormatError(f"{where}: expected an object")
-    try:
-        if "probs" in spec:
-            probs = _parse_numbers(spec["probs"], f"{where}.probs")
-            return Distribution(group, probs)
-        kind = spec.get("kind")
-        if kind == "degenerate":
-            return degenerate(group, _parse_coords(_need(spec, "point", where), f"{where}.point"))
-        if kind == "haar":
-            if "subgroup" in spec:
-                return haar(parse_subgroup(group, spec["subgroup"], f"{where}.subgroup"))
-            return haar(Subgroup.full(group))
-        if kind == "shifted-haar":
-            sub = parse_subgroup(group, _need(spec, "subgroup", where), f"{where}.subgroup")
-            point = _parse_coords(_need(spec, "point", where), f"{where}.point")
-            return shifted_haar(group, point, sub)
-    except ScenarioFormatError:
-        raise
-    except QcharError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
-    raise ScenarioFormatError(f"{where}: need 'probs' or a recognized 'kind'")
-
-
-def parse_hom(group: FiniteAbelianGroup, spec, where: str = "hom") -> GroupHom:
-    try:
-        if not isinstance(spec, dict):
-            return multiplication_map(group, _parse_int(spec, where))
-        if "scalar" in spec:
-            return multiplication_map(group, _parse_int(spec["scalar"], f"{where}.scalar"))
-        if "matrix" in spec:
-            rows = _parse_points(spec["matrix"], f"{where}.matrix")
-            return GroupHom.from_matrix(group, group, rows)
-        if "table" in spec:
-            return GroupHom(group, group, _parse_coords(spec["table"], f"{where}.table"))
-    except QcharError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
-    raise ScenarioFormatError(f"{where}: need 'scalar', 'matrix' or 'table'")
-
-
-def parse_automorphism(group: FiniteAbelianGroup, spec, where: str = "automorphism") -> Automorphism:
-    hom = parse_hom(group, spec, where)
-    try:
-        return Automorphism(hom.source, hom.target, hom.table)
-    except QcharError as exc:
-        raise ScenarioFormatError(f"{where}: not invertible: {exc}") from exc
-
-
-def parse_joint(group: FiniteAbelianGroup, spec, where: str = "joint") -> JointDistribution:
-    if not isinstance(spec, dict):
-        raise ScenarioFormatError(f"{where}: expected an object")
-    try:
-        if spec.get("kind") == "product":
-            factors = _parse_list(_need(spec, "factors", where), f"{where}.factors")
-            factors = [parse_distribution(group, f, f"{where}.factors[{i}]")
-                       for i, f in enumerate(factors)]
-            return product_joint(factors)
-        if "probs" in spec:
-            arity = _parse_int(spec.get("arity", 2), f"{where}.arity")
-            probs = _parse_numbers(spec["probs"], f"{where}.probs")
-            return JointDistribution((group,) * arity, probs)
-    except ScenarioFormatError:
-        raise
-    except QcharError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
-    raise ScenarioFormatError(f"{where}: need 'probs' or kind 'product'")
-
-
-def parse_window_values(spec, where: str = "window") -> WindowFunction:
-    if not isinstance(spec, dict):
-        raise ScenarioFormatError(f"{where}: expected an object")
-    radius = _parse_int(_need(spec, "radius", where), f"{where}.radius")
-    dim = _parse_int(spec.get("dim", 1), f"{where}.dim")
-    try:
-        win = IntegerWindow(radius, dim)
-    except QcharError as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
-    if "values" in spec:
-        try:
-            vals = np.asarray(spec["values"], dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ScenarioFormatError(f"{where}.values: {exc}") from exc
-        if not np.isfinite(vals).all():
-            raise ScenarioFormatError(f"{where}.values: expected finite numbers")
-        try:
-            return WindowFunction(win, vals)
-        except QcharError as exc:
-            raise ScenarioFormatError(f"{where}: {exc}") from exc
-    if "coefficients" in spec:
-        coeffs = _parse_coeffs(spec["coefficients"], dim, where)
-        pts = win.points()
-        vals = np.asarray(poly_eval(coeffs, pts), dtype=np.float64)
-        return WindowFunction(win, vals.reshape((win.side,) * dim))
-    raise ScenarioFormatError(f"{where}: need 'values' or 'coefficients'")
-
-
-def _parse_window_of_dim(spec, dim: int, where: str) -> WindowFunction:
-    f = parse_window_values(spec, where)
-    if f.window.dim != dim:
-        raise ScenarioFormatError(f"{where}: expected \"dim\": {dim}, got {f.window.dim}")
-    return f
-
-
-def _parse_coeffs(raw, dim: int, where: str) -> dict:
-    coeffs = {}
-    if not isinstance(raw, dict):
-        raise ScenarioFormatError(f"{where}: coefficients must be an object")
-    for key, val in raw.items():
-        parts = tuple(int(p) for p in str(key).split(","))
-        if len(parts) != dim:
-            raise ScenarioFormatError(
-                f"{where}: exponent {key!r} has arity {len(parts)}, expected {dim}"
-            )
-        coeffs[parts] = _parse_number(val, where)
-    return coeffs
-
-
-def parse_even_poly(spec, where: str = "phi") -> EvenPolynomial:
-    if not isinstance(spec, dict) or "even_coeffs" not in spec:
-        raise ScenarioFormatError(f"{where}: expected an object with 'even_coeffs'")
-    try:
-        coeffs = {int(k): _parse_number(v, where)
-                  for k, v in spec["even_coeffs"].items()}
-        return EvenPolynomial(coeffs)
-    except ScenarioFormatError:
-        raise
+        return build(*args, spec[key])
     except (QcharError, ValueError) as exc:
-        raise ScenarioFormatError(f"{where}: {exc}") from exc
+        raise _under(f".{key}", exc) from exc
+
+
+def _each(build, *args) -> list:
+    """build(*fixed, item) for each item of the last argument, its input errors
+    attributed to the item's index."""
+    *fixed, items = args
+    out = []
+    try:
+        for item in items:
+            out.append(build(*fixed, item))
+    except (QcharError, ValueError) as exc:
+        raise _under(f"[{len(out)}]", exc) from exc
+    return out
+
+
+def _float(x) -> float:
+    try:
+        value = float(Fraction(x)) if isinstance(x, str) else float(x)
+    except (OverflowError, ValueError):
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioFormatError(f"{x!r} is not a finite float")
+    return value
+
+
+def _floats(values: list) -> np.ndarray:
+    return np.asarray(_each(_float, values), dtype=np.float64)
+
+
+def _group(spec) -> FiniteAbelianGroup:
+    return _at(spec, "orders", FiniteAbelianGroup)
+
+
+def _subgroup(group: FiniteAbelianGroup, spec) -> Subgroup:
+    if "generators" in spec:
+        return _at(spec, "generators", Subgroup.from_generators, group)
+    return _at(spec, "elements", lambda xs: Subgroup(group, tuple(_each(group.as_index, xs))))
+
+
+def _distribution(group: FiniteAbelianGroup, spec) -> Distribution:
+    if "probs" in spec:
+        return _at(spec, "probs", lambda probs: Distribution(group, _floats(probs)))
+    if spec["kind"] == "degenerate":
+        return _at(spec, "point", degenerate, group)
+    sub = _at(spec, "subgroup", _subgroup, group) if "subgroup" in spec else Subgroup.full(group)
+    if spec["kind"] == "haar":
+        return haar(sub)
+    return _at(spec, "point", lambda x: shifted_haar(group, x, sub))
+
+
+def _automorphism(group: FiniteAbelianGroup, spec) -> Automorphism:
+    if "scalar" in spec:
+        hom = multiplication_map(group, int(spec["scalar"]))
+    elif "matrix" in spec:
+        hom = _at(spec, "matrix", GroupHom.from_matrix, group, group)
+    else:
+        hom = _at(spec, "table", GroupHom, group, group)
+    return Automorphism(hom.source, hom.target, hom.table)
+
+
+def _joint(group: FiniteAbelianGroup, spec) -> JointDistribution:
+    if "factors" in spec:
+        # the product group must fit under the order cap before its table is built
+        _at(spec, "factors", lambda factors: FiniteAbelianGroup(group.orders * len(factors)))
+        return product_joint(_at(spec, "factors", _each, _distribution, group))
+    groups = (group,) * int(spec.get("arity", 2))
+    return _at(spec, "probs", lambda probs: JointDistribution(groups, _floats(probs)))
+
+
+def _coefficients(spec: dict) -> dict:
+    """Coefficients keyed by exponent tuples; the schema checked the keys."""
+    return {tuple(int(e) for e in key.split(",")): _at(spec, key, _float) for key in spec}
+
+
+def _window(dim: int, spec) -> WindowFunction:
+    win = IntegerWindow(int(spec["radius"]), dim)
+    if "values" in spec:
+        rows = _floats if dim == 1 else lambda rows: np.asarray(_each(_floats, rows))
+        return _at(spec, "values", lambda values: WindowFunction(win, rows(values)))
+    coeffs = _at(spec, "coefficients", _coefficients)
+    vals = np.asarray(poly_eval(coeffs, win.points()), dtype=np.float64)
+    return WindowFunction(win, vals.reshape((win.side,) * dim))
+
+
+def _even_poly(spec) -> EvenPolynomial:
+    coeffs = _at(spec, "even_coeffs", _coefficients)
+    return EvenPolynomial({k: v for (k,), v in coeffs.items()})
+
+
+def _perturbation(radius: int, spec: dict) -> tuple[int, float]:
+    off = int(spec["offset"])
+    if abs(off) > radius:
+        raise ScenarioFormatError(f"{off} outside [-{radius}, {radius}]", ".offset")
+    return off, _at(spec, "amount", _float)
+
+
+def _gaussian(radius: int, min_truncation: int, spec: dict) -> tuple:
+    """A cramer factor's Gaussian law and its perturbation (offset, amount) or None."""
+    sigma = _at(spec, "sigma", _float)
+    # a sigma whose truncation exceeds the cap is rejected before anything is built
+    _at(spec, "sigma", lambda _: gaussian_truncation(sigma, min_truncation))
+
+    def law(shift):
+        return gaussian_distribution(_float(shift), sigma, min_truncation=min_truncation)
+
+    dist = _at(spec, "shift", law) if "shift" in spec else law(0.0)
+    return dist, _at(spec, "perturb", _perturbation, radius) if "perturb" in spec else None
 
 
 def _witness_dict(w: QWitness | None) -> dict | None:
@@ -329,11 +414,24 @@ def _num(v):
     return float(v)
 
 
+def _conclude(check, *args, **kwargs) -> tuple[str, dict]:
+    """Verdict of a check: pass with its report, a violated hypothesis, or a
+    fail when a factorization breaks or the residual deciding it is not finite."""
+    try:
+        return "pass", check(*args, **kwargs).to_dict()
+    except (HypothesisError, PremiseError) as exc:
+        if exc.residual is not None and not math.isfinite(exc.residual):
+            return "fail", {"reason": f"non-finite residual: {exc}"}
+        return "hypothesis-violated", {"reason": str(exc), "residual": _opt(exc.residual)}
+    except FactorizationError as exc:
+        return "fail", {"reason": str(exc)}
+
+
 # ---- scenario runners -----------------------------------------------------
 
 
 def _run_group_inspect(payload: dict, tol: float) -> tuple[str, dict]:
-    group = parse_group(_need(payload, "group", "group-inspect"))
+    group = _at(payload, "group", _group)
     # subgroup lattices blow up combinatorially; only enumerate small groups
     count = len(all_subgroups(group)) if group.order <= 256 else None
     details = {
@@ -349,44 +447,32 @@ def _run_group_inspect(payload: dict, tol: float) -> tuple[str, dict]:
 
 
 def _run_q_witness(payload: dict, tol: float) -> tuple[str, dict]:
-    group = parse_group(_need(payload, "group", "q-witness"))
-    joint = parse_joint(group, _need(payload, "joint", "q-witness"), "q-witness.joint")
-    witness = extract_q_witness(joint)
+    group = _at(payload, "group", _group)
+    witness = extract_q_witness(_at(payload, "joint", _joint, group))
     details = {"witness": _witness_dict(witness)}
-    want = bool(payload.get("expect_witness", True))
+    want = payload.get("expect_witness", True)
     verdict = "pass" if (witness is not None) == want else "fail"
     return verdict, details
 
 
 def _run_sd(payload: dict, tol: float) -> tuple[str, dict]:
-    group = parse_group(_need(payload, "group", "sd"))
-    comps = _need(payload, "components", "sd")
-    if not isinstance(comps, list) or len(comps) < 2:
-        raise ScenarioFormatError("sd: 'components' must list at least two entries")
-    cfs, alphas, betas = [], [], []
-    for i, comp in enumerate(comps):
-        where = f"sd.components[{i}]"
-        dist = parse_distribution(group, _need(comp, "distribution", where), where)
-        cfs.append(char_fn(dist))
-        alphas.append(parse_automorphism(group, _need(comp, "alpha", where), f"{where}.alpha"))
-        betas.append(parse_automorphism(group, _need(comp, "beta", where), f"{where}.beta"))
-    inst = SDInstance(group, tuple(cfs), tuple(alphas), tuple(betas))
-    try:
-        con = sd_conclude(inst, tol=tol)
-    except HypothesisError as exc:
-        return "hypothesis-violated", {"reason": str(exc), "residual": _opt(exc.residual)}
-    except FactorizationError as exc:
-        return "fail", {"reason": str(exc)}
-    return "pass", con.to_dict()
+    group = _at(payload, "group", _group)
+
+    def component(comp):
+        return (char_fn(_at(comp, "distribution", _distribution, group)),
+                _at(comp, "alpha", _automorphism, group),
+                _at(comp, "beta", _automorphism, group))
+
+    cfs, alphas, betas = zip(*_at(payload, "components", _each, component))
+    return _conclude(sd_conclude, SDInstance(group, cfs, alphas, betas), tol=tol)
 
 
 def _run_heyde(payload: dict, tol: float) -> tuple[str, dict]:
-    group = parse_group(_need(payload, "group", "heyde"))
-    alpha = parse_automorphism(group, _need(payload, "alpha", "heyde"), "heyde.alpha")
-    joint = parse_joint(group, _need(payload, "joint", "heyde"), "heyde.joint")
-    inst = HeydeInstance(group, joint, alpha)
+    group = _at(payload, "group", _group)
+    alpha = _at(payload, "alpha", _automorphism, group)
+    inst = HeydeInstance(group, _at(payload, "joint", _joint, group), alpha)
     try:
-        con = heyde_conclude(inst, tol=tol)
+        return _conclude(heyde_conclude, inst, tol=tol)
     except KernelConditionError as exc:
         details = {
             "reason": str(exc),
@@ -395,172 +481,104 @@ def _run_heyde(payload: dict, tol: float) -> tuple[str, dict]:
             "symmetry_residual": heyde_symmetry_residual(inst),
         }
         return "counterexample", details
-    except HypothesisError as exc:
-        return "hypothesis-violated", {"reason": str(exc), "residual": _opt(exc.residual)}
-    except (FactorizationError, UndefinedLogError) as exc:
+    except UndefinedLogError as exc:
         return "fail", {"reason": str(exc)}
-    return "pass", con.to_dict()
 
 
 def _run_kb(payload: dict, tol: float) -> tuple[str, dict]:
-    group = parse_group(_need(payload, "group", "kb"))
-    d1 = parse_distribution(group, _need(payload, "first", "kb"), "kb.first")
-    d2 = parse_distribution(group, _need(payload, "second", "kb"), "kb.second")
-    inst = KBInstance(group, char_fn(d1), char_fn(d2))
-    try:
-        fac = kb_factorize(inst, tol=tol)
-    except HypothesisError as exc:
-        return "hypothesis-violated", {"reason": str(exc), "residual": _opt(exc.residual)}
-    except FactorizationError as exc:
-        return "fail", {"reason": str(exc)}
-    return "pass", fac.to_dict()
+    group = _at(payload, "group", _group)
+    d1 = _at(payload, "first", _distribution, group)
+    d2 = _at(payload, "second", _distribution, group)
+    return _conclude(kb_factorize, KBInstance(group, char_fn(d1), char_fn(d2)), tol=tol)
 
 
 def _run_cramer(payload: dict, tol: float) -> tuple[str, dict]:
-    mode = payload.get("mode", "group")
-    try:
-        if mode == "group":
-            group = parse_group(_need(payload, "group", "cramer"))
-            gamma = char_fn(parse_distribution(group, _need(payload, "target", "cramer"),
-                                               "cramer.target"))
-            factors = _need(payload, "factors", "cramer")
-            if not isinstance(factors, list) or len(factors) != 2:
-                raise ScenarioFormatError("cramer: exactly two factors required")
-            f1 = char_fn(parse_distribution(group, factors[0], "cramer.factors[0]"))
-            f2 = char_fn(parse_distribution(group, factors[1], "cramer.factors[1]"))
-            rep = cramer_check(gamma, f1, f2, tol=tol)
-        elif mode == "circle":
-            radius = _parse_int(payload.get("radius", 4), "cramer.radius")
-            if radius < 1:
-                raise ScenarioFormatError(f"cramer.radius: expected at least 1, got {radius}")
-            trunc = _parse_int(payload.get("min_truncation", 4 * radius), "cramer.min_truncation")
-            gamma = _circle_factor(_need(payload, "target", "cramer"), radius, trunc,
-                                   "cramer.target")
-            factors = _need(payload, "factors", "cramer")
-            if not isinstance(factors, list) or len(factors) != 2:
-                raise ScenarioFormatError("cramer: exactly two factors required")
-            f1 = _circle_factor(factors[0], radius, trunc, "cramer.factors[0]")
-            f2 = _circle_factor(factors[1], radius, trunc, "cramer.factors[1]")
-            rep = cramer_check(gamma, f1, f2, tol=max(tol, 1e-8))
-        else:
-            raise ScenarioFormatError(f"cramer: unknown mode {mode!r}")
-    except HypothesisError as exc:
-        return "hypothesis-violated", {"reason": str(exc), "residual": _opt(exc.residual)}
-    except FactorizationError as exc:
-        return "fail", {"reason": str(exc)}
-    details = rep.to_dict()
-    if rep.mode == "circle":
-        bad = [v for v in rep.verdicts if v["verdict"] != "gaussian"]
-        return ("pass" if not bad else "fail"), details
-    return "pass", details
+    if payload.get("mode", "group") == "group":
+        group = _at(payload, "group", _group)
+        target = _at(payload, "target", _distribution, group)
+        factors = _at(payload, "factors", _each, _distribution, group)
+        args = [char_fn(d) for d in (target, *factors)]
+    else:
+        args, tol = _circle_windows(payload), max(tol, 1e-8)
+    verdict, details = _conclude(cramer_check, *args, tol=tol)
+    if verdict == "pass" and details["mode"] == "circle" and any(
+            v["verdict"] != "gaussian" for v in details["verdicts"]):
+        return "fail", details
+    return verdict, details
 
 
-def _circle_factor(spec, radius: int, trunc: int, where: str):
-    """Gaussian-type factor given by shift/sigma, optionally perturbed."""
-    if not isinstance(spec, dict) or "sigma" not in spec:
-        raise ScenarioFormatError("circle factor: expected {'shift', 'sigma'}")
-    sigma = _parse_number(spec["sigma"], f"{where}.sigma")
-    if sigma <= 0:
-        raise ScenarioFormatError(f"{where}.sigma: expected a positive number, got {sigma!r}")
-    dist = gaussian_distribution(_parse_number(spec.get("shift", 0.0), f"{where}.shift"), sigma,
-                                 min_truncation=trunc)
-    if radius > dist.truncation:
-        raise ScenarioFormatError(
-            f"cramer.radius: {radius} beyond the truncation {dist.truncation} of {where}")
-    vals = dist.cf_window(radius)
-    logs = dist.log_window(radius)
-    if "perturb" in spec:
-        pert = spec["perturb"]
-        off = _parse_int(_need(pert, "offset", "circle factor perturb"), f"{where}.perturb.offset")
-        if abs(off) > radius:
-            raise ScenarioFormatError(
-                f"{where}.perturb.offset: {off} outside [-{radius}, {radius}]")
-        amt = _parse_number(_need(pert, "amount", "circle factor perturb"),
-                            f"{where}.perturb.amount")
-        arr = np.asarray(vals.values, dtype=np.complex128).copy()
-        arr[radius + off] += amt
-        arr[radius - off] += amt
-        vals = WindowFunction(vals.window, arr)
-        logs = None
-    return (vals, logs)
+def _circle_windows(payload: dict) -> list:
+    """(values, exact logs) of the Gaussian target and factors on the window.
+
+    A perturbation adds its amount at +-offset and drops the exact logs.
+    """
+    radius = int(payload.get("radius", 4))
+    trunc = int(payload.get("min_truncation", min(4 * radius, TRUNCATION_CAP)))
+    laws = [_at(payload, "target", _gaussian, radius, trunc),
+            *_at(payload, "factors", _each, _gaussian, radius, trunc)]
+    reach = min(dist.truncation for dist, _ in laws)
+    if radius > reach:
+        raise ScenarioFormatError(f"{radius} beyond the truncation {reach} of the factors",
+                                  ".radius")
+    windows = []
+    for dist, perturb in laws:
+        vals, logs = dist.cf_window(radius), dist.log_window(radius)
+        if perturb is not None:
+            off, amt = perturb
+            arr = np.asarray(vals.values, dtype=np.complex128).copy()
+            arr[radius + off] += amt
+            arr[radius - off] += amt
+            vals, logs = WindowFunction(vals.window, arr), None
+        windows.append((vals, logs))
+    return windows
 
 
 def _run_pexider_chain(payload: dict, tol: float) -> tuple[str, dict]:
-    terms_spec = _need(payload, "terms", "pexider-chain")
-    if not isinstance(terms_spec, list) or not terms_spec:
-        raise ScenarioFormatError("pexider-chain: 'terms' must be a non-empty list")
-    l = _parse_int(payload.get("r_degree", 0), "pexider-chain.r_degree")
+    R = None
     if "group" in payload:
-        group = parse_group(payload["group"])
-        terms = []
-        for i, t in enumerate(terms_spec):
-            where = f"pexider-chain.terms[{i}]"
-            vals = _parse_numbers(_need(t, "values", where), f"{where}.values")
-            try:
-                psi = GroupFunction(group, vals)
-            except QcharError as exc:
-                raise ScenarioFormatError(f"{where}: {exc}") from exc
-            terms.append((psi, parse_automorphism(group, _need(t, "b", where), f"{where}.b")))
-        problem = EliminationProblem(terms=tuple(terms), r_degree=l)
+        group = _at(payload, "group", _group)
+
+        def term(t):
+            return (_at(t, "values", lambda v: GroupFunction(group, _floats(v))),
+                    _at(t, "b", _automorphism, group))
     else:
-        terms = []
-        for i, t in enumerate(terms_spec):
-            where = f"pexider-chain.terms[{i}]"
-            psi = _parse_window_of_dim(_need(t, "psi", where), 1, f"{where}.psi")
-            terms.append((psi, _parse_int(_need(t, "b", where), f"{where}.b")))
-        R = None
+        def term(t):
+            return _at(t, "psi", _window, 1), int(t["b"])
+
         if "R" in payload:
-            R = _parse_window_of_dim(payload["R"], 2, "pexider-chain.R")
-        problem = EliminationProblem(terms=tuple(terms), r_degree=l, R=R)
+            R = _at(payload, "R", _window, 2)
+    terms = _at(payload, "terms", _each, term)
     try:
-        trace = run_pexider_chain(problem)
-    except PremiseError as exc:
-        return "hypothesis-violated", {"reason": str(exc), "residual": _opt(exc.residual)}
+        problem = EliminationProblem(terms=tuple(terms), r_degree=int(payload.get("r_degree", 0)),
+                                     R=R)
+        return _conclude(run_pexider_chain, problem)
     except (WindowExhaustedError, KernelConditionError, SizeLimitError) as exc:
         return "fail", {"reason": str(exc)}
-    return "pass", trace.to_dict()
 
 
 def _run_heyde_chain(payload: dict, tol: float) -> tuple[str, dict]:
-    l = _parse_int(payload.get("r_degree", 0), "heyde-chain.r_degree")
     if "group" in payload:
-        group = parse_group(payload["group"])
-        vals1 = _parse_numbers(_need(payload, "psi1", "heyde-chain"), "heyde-chain.psi1")
-        vals2 = _parse_numbers(_need(payload, "psi2", "heyde-chain"), "heyde-chain.psi2")
-        try:
-            psi1 = GroupFunction(group, vals1)
-            psi2 = GroupFunction(group, vals2)
-        except QcharError as exc:
-            raise ScenarioFormatError(f"heyde-chain: {exc}") from exc
-        b = parse_automorphism(group, _need(payload, "b", "heyde-chain"), "heyde-chain.b")
+        group = _at(payload, "group", _group)
+        psis = [_at(payload, key, lambda v: GroupFunction(group, _floats(v)))
+                for key in ("psi1", "psi2")]
+        b = _at(payload, "b", _automorphism, group)
     else:
-        psi1 = _parse_window_of_dim(_need(payload, "psi1", "heyde-chain"), 1, "heyde-chain.psi1")
-        psi2 = _parse_window_of_dim(_need(payload, "psi2", "heyde-chain"), 1, "heyde-chain.psi2")
-        b = _parse_int(_need(payload, "b", "heyde-chain"), "heyde-chain.b")
+        psis = [_at(payload, key, _window, 1) for key in ("psi1", "psi2")]
+        b = int(payload["b"])
     try:
-        trace = run_heyde_chain(psi1, psi2, b, r_degree=l)
-    except PremiseError as exc:
-        return "hypothesis-violated", {"reason": str(exc), "residual": _opt(exc.residual)}
+        return _conclude(run_heyde_chain, *psis, b, r_degree=int(payload.get("r_degree", 0)))
     except KernelConditionError as exc:
         ke = exc.kernel_element
-        if hasattr(ke, "coords"):
-            ke = list(ke.coords)
-        elif isinstance(ke, tuple):
-            ke = list(ke)
+        ke = list(ke) if isinstance(ke, tuple) else ke
         return "counterexample", {"reason": str(exc), "kernel_element": ke}
     except (WindowExhaustedError, SizeLimitError) as exc:
         return "fail", {"reason": str(exc)}
-    return "pass", trace.to_dict()
 
 
 def _run_circle_construct(payload: dict, tol: float) -> tuple[str, dict]:
-    phi = parse_even_poly(_need(payload, "phi", "circle-construct"))
-    phi2 = None
-    if "pair_phi" in payload:
-        phi2 = parse_even_poly(payload["pair_phi"], "circle-construct.pair_phi")
+    phi = _at(payload, "phi", _even_poly)
+    phi2 = _at(payload, "pair_phi", _even_poly) if "pair_phi" in payload else None
     trunc = payload.get("min_truncation")
-    if trunc is not None:
-        trunc = _parse_int(trunc, "circle-construct.min_truncation")
     try:
         dist = exp_poly_distribution(phi, min_truncation=trunc)
         dist2 = None if phi2 is None else exp_poly_distribution(phi2, min_truncation=trunc)
@@ -582,30 +600,28 @@ def _run_circle_construct(payload: dict, tol: float) -> tuple[str, dict]:
     }
     if dist2 is not None:
         half = min(dist.truncation, dist2.truncation) // 2
-        radius = _parse_int(payload.get("radius", half), "circle-construct.radius")
+        radius = int(payload.get("radius", half))
         if not 1 <= radius <= half:
-            raise ScenarioFormatError(
-                f"circle-construct.radius: {radius} outside [1, {half}]")
+            raise ScenarioFormatError(f"{radius} outside [1, {half}]", ".radius")
         sj = sum_difference_joint(dist, dist2, radius)
         witness = extract_q_witness(sj)
         details["witness"] = _witness_dict(witness)
         if witness is None:
             return "fail", details
         if "expect_coefficients" in payload:
-            want = _parse_coeffs(payload["expect_coefficients"], 2,
-                                 "circle-construct.expect_coefficients")
+            want = _at(payload, "expect_coefficients", _coefficients)
             got = witness.coefficients or {}
-            keys = set(want) | set(got)
-            worst = max((abs(complex(got.get(k, 0.0)) - complex(want.get(k, 0.0)))
-                         for k in keys), default=0.0)
+            worst = peak([complex(got.get(k, 0.0)) - complex(want.get(k, 0.0))
+                          for k in set(want) | set(got)])
             details["coefficient_defect"] = worst
-            if worst > max(tol, 1e-8):
+            if not within(worst, max(tol, 1e-8)):
                 return "fail", details
     return "pass", details
 
 
 def _opt(x):
     return None if x is None else float(x)
+
 
 _RUNNERS = {
     "group-inspect": _run_group_inspect,
@@ -621,18 +637,20 @@ _RUNNERS = {
 
 
 def run_scenario(scenario: dict, profile: str = "default") -> dict:
-    """Execute one scenario object and return its report dict."""
+    """Execute one scenario object and return its report dict.
+
+    The scenario must satisfy ``SCENARIO_SCHEMA``: its payload is not
+    validated again here.  Input errors the schema cannot state raise
+    ScenarioFormatError with the payload path of the field at fault.
+    """
     kind = scenario.get("kind")
     if kind not in _RUNNERS:
         raise ScenarioFormatError(f"unknown scenario kind {kind!r}")
     tol = PROFILES[profile]
-    payload = scenario.get("payload", {})
-    if not isinstance(payload, dict):
-        raise ScenarioFormatError("scenario payload must be an object")
     expected = scenario.get("expect", "pass")
-    if expected not in ("pass", "fail", "hypothesis-violated", "counterexample"):
+    if expected not in EXPECTS:
         raise ScenarioFormatError(f"unknown expectation {expected!r}")
-    verdict, details = _RUNNERS[kind](payload, tol)
+    verdict, details = _RUNNERS[kind](scenario["payload"], tol)
     return {
         "schema": "qchar-report-1",
         "kind": kind,
@@ -715,31 +733,26 @@ def _sweep_report(kind, seed, count, cases, failures, extra) -> dict:
     return report
 
 
+
+
 # ---- one-shot subcommand helpers -----------------------------------------
+#
+# Both build a scenario from their arguments and validate it like a file.
+
+
+def _run_built(kind: str, name: str, payload: dict) -> dict:
+    scenario = {"schema": "qchar-scenario-1", "kind": kind, "name": name, "payload": payload}
+    check_document(scenario)
+    return run_scenario(scenario)
 
 
 def run_inspect(orders) -> dict:
-    report = run_scenario({
-        "schema": "qchar-scenario-1",
-        "kind": "group-inspect",
-        "name": "inspect-" + "x".join(str(o) for o in orders),
-        "payload": {"group": {"orders": list(orders)}},
-    })
-    return report
+    name = "inspect-" + "x".join(str(o) for o in orders)
+    return _run_built("group-inspect", name, {"group": {"orders": list(orders)}})
 
 
 def run_construct(phi_spec: dict, min_truncation=None, radius=None,
                   pair_phi=None) -> dict:
-    payload = {"phi": phi_spec}
-    if min_truncation is not None:
-        payload["min_truncation"] = int(min_truncation)
-    if radius is not None:
-        payload["radius"] = int(radius)
-    if pair_phi is not None:
-        payload["pair_phi"] = pair_phi
-    return run_scenario({
-        "schema": "qchar-scenario-1",
-        "kind": "circle-construct",
-        "name": "construct",
-        "payload": payload,
-    })
+    options = {"min_truncation": min_truncation, "radius": radius, "pair_phi": pair_phi}
+    return _run_built("circle-construct", "construct",
+                      {"phi": phi_spec, **{k: v for k, v in options.items() if v is not None}})

@@ -178,8 +178,11 @@ def _window_witness(win: IntegerWindow, q_vals: np.ndarray, value_residual, d_ma
     coeffs, degree, _ = got
     fitted = poly_eval(coeffs, win.points()).reshape((win.side,) * win.dim)
     q_fn = WindowFunction(win, fitted)
-    return QWitness(q=q_fn, degree=degree, residual=float(value_residual(q_fn)),
-                    coefficients=coeffs)
+    residual = float(value_residual(q_fn))
+    if not np.isfinite(residual):
+        # the values overflow, so nothing confirms the fitted witness
+        return None
+    return QWitness(q=q_fn, degree=degree, residual=residual, coefficients=coeffs)
 
 
 def extract_q_witness(joint, d_max: int = DEGREE_CAP, tol: float | None = None):

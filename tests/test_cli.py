@@ -7,9 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from jsonschema import Draft202012Validator
 
 from qchar.cli import canonical_json, main
-from qchar.scenarios import ScenarioFormatError, make_rng, run_scenario, run_sweep
+from qchar.scenarios import (
+    DOCUMENT_SCHEMA,
+    ScenarioFormatError,
+    make_rng,
+    run_scenario,
+    run_sweep,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -74,6 +81,11 @@ def test_run_mismatch_exits_one(capsys):
     assert rep["matched"] is False
 
 
+def _named(kind):
+    """Name each case by its kind and the path of the bad field below the payload."""
+    return lambda value: kind + value[len("$.payload"):] if isinstance(value, str) else None
+
+
 def test_run_invalid_kind_exits_two(capsys):
     code, _, err = run_cli(["run", DATA / "bad_kind.json"], capsys)
     assert code == 2
@@ -87,15 +99,15 @@ def _full_surface(name):
 
 
 @pytest.mark.parametrize("edit, where", [
-    (lambda p: p.update(r_degree="x"), "pexider-chain.r_degree"),
-    (lambda p: p.update(r_degree=math.nan), "pexider-chain.r_degree"),
-    (lambda p: p.update(r_degree=1.5), "pexider-chain.r_degree"),
-    (lambda p: p.update(r_degree=True), "pexider-chain.r_degree"),
-    (lambda p: p["terms"][1].update(b=math.inf), "pexider-chain.terms[1].b"),
-    (lambda p: p["terms"][0]["psi"].update(radius="40"), "pexider-chain.terms[0].psi.radius"),
-    (lambda p: p["terms"][0]["psi"].update(dim=1.25), "pexider-chain.terms[0].psi.dim"),
-    (lambda p: p["terms"][0]["psi"].update(radius=-3), "pexider-chain.terms[0].psi"),
-])
+    (lambda p: p.update(r_degree="x"), "$.payload.r_degree"),
+    (lambda p: p.update(r_degree=math.nan), "$.payload.r_degree"),
+    (lambda p: p.update(r_degree=1.5), "$.payload.r_degree"),
+    (lambda p: p.update(r_degree=True), "$.payload.r_degree"),
+    (lambda p: p["terms"][1].update(b=math.inf), "$.payload.terms[1].b"),
+    (lambda p: p["terms"][0]["psi"].update(radius="40"), "$.payload.terms[0].psi.radius"),
+    (lambda p: p["terms"][0]["psi"].update(dim=1.25), "$.payload.terms[0].psi.dim"),
+    (lambda p: p["terms"][0]["psi"].update(radius=-3), "$.payload.terms[0].psi"),
+], ids=_named("pexider-chain"))
 def test_run_bad_chain_integer_exits_two(tmp_path, capsys, edit, where):
     scn = _full_surface("window-two-terms")
     edit(scn["payload"])
@@ -104,7 +116,7 @@ def test_run_bad_chain_integer_exits_two(tmp_path, capsys, edit, where):
     code, out, err = run_cli(["run", path], capsys)
     assert code == 2
     assert out == ""
-    assert f"invalid input: {where}" in err
+    assert where in err
 
 
 def test_integral_float_chain_fields_are_accepted():
@@ -130,13 +142,13 @@ def test_group_chain_over_size_cap_is_a_fail_verdict():
 
 
 @pytest.mark.parametrize("edit, where", [
-    (lambda p: p["alpha"].update(scalar=2.5), "heyde.alpha.scalar"),
-    (lambda p: p["alpha"].update(scalar="2"), "heyde.alpha.scalar"),
-    (lambda p: p["alpha"].update(scalar=True), "heyde.alpha.scalar"),
-    (lambda p: p.update(alpha={"table": [0, 2, 4, 1, 3.0001]}), "heyde.alpha.table[4]"),
+    (lambda p: p["alpha"].update(scalar=2.5), "$.payload.alpha.scalar"),
+    (lambda p: p["alpha"].update(scalar="2"), "$.payload.alpha.scalar"),
+    (lambda p: p["alpha"].update(scalar=True), "$.payload.alpha.scalar"),
+    (lambda p: p.update(alpha={"table": [0, 2, 4, 1, 3.0001]}), "$.payload.alpha.table[4]"),
     (lambda p: p["joint"]["factors"][0].update(point=["3"]),
-     "heyde.joint.factors[0].point[0]"),
-])
+     "$.payload.joint.factors[0].point[0]"),
+], ids=_named("heyde"))
 def test_run_bad_hom_integer_exits_two(tmp_path, capsys, edit, where):
     scn = json.load(open(DATA / "heyde_pass.json"))
     edit(scn["payload"])
@@ -145,7 +157,7 @@ def test_run_bad_hom_integer_exits_two(tmp_path, capsys, edit, where):
     code, out, err = run_cli(["run", path], capsys)
     assert code == 2
     assert out == ""
-    assert f"invalid input: {where}" in err
+    assert f"{where}: " in err
 
 
 def test_run_bad_subgroup_coordinate_exits_two(tmp_path, capsys):
@@ -156,7 +168,7 @@ def test_run_bad_subgroup_coordinate_exits_two(tmp_path, capsys):
     path.write_text(json.dumps(scn))
     code, out, err = run_cli(["run", path], capsys)
     assert code == 2
-    assert "invalid input: kb.first.subgroup.generators[0][0]" in err
+    assert "$.payload.first.subgroup.generators[0][0]: " in err
 
 
 def test_run_non_finite_probability_exits_two(tmp_path, capsys):
@@ -168,7 +180,7 @@ def test_run_non_finite_probability_exits_two(tmp_path, capsys):
     code, out, err = run_cli(["run", path], capsys)
     assert code == 2
     assert out == ""
-    assert "invalid input: q-witness.joint.probs[0]" in err
+    assert "$.payload.joint.probs[0]: " in err
 
 
 @pytest.mark.parametrize("key", ["phi", "pair_phi"])
@@ -198,7 +210,7 @@ def test_run_non_integer_group_orders_exit_two(tmp_path, capsys, orders):
     scn["payload"]["group"]["orders"] = orders
     code, out, err = _run_edited(tmp_path, capsys, scn)
     assert (code, out) == (2, "")
-    assert "invalid input: group.orders" in err
+    assert "$.payload.group.orders" in err
 
 
 def test_run_non_integer_joint_arity_exits_two(tmp_path, capsys):
@@ -206,27 +218,29 @@ def test_run_non_integer_joint_arity_exits_two(tmp_path, capsys):
         "group": {"orders": [2]}, "joint": {"arity": 2.7, "probs": [0.25] * 4}}}
     code, out, err = _run_edited(tmp_path, capsys, scn)
     assert (code, out) == (2, "")
-    assert "invalid input: q-witness.joint.arity" in err
+    assert "$.payload.joint.arity: " in err
 
 
 @pytest.mark.parametrize("edit, where", [
-    (lambda p: p.update(radius="x"), "cramer.radius"),
-    (lambda p: p.update(radius=0), "cramer.radius"),
-    (lambda p: p.update(radius=500), "cramer.radius"),
-    (lambda p: p.update(min_truncation=12.5), "cramer.min_truncation"),
-    (lambda p: p["target"].update(sigma="abc"), "cramer.target.sigma"),
-    (lambda p: p["target"].update(sigma=-1.0), "cramer.target.sigma"),
-    (lambda p: p["factors"][1].update(shift=[]), "cramer.factors[1].shift"),
-    (lambda p: p["factors"][0]["perturb"].update(offset="1"), "cramer.factors[0].perturb.offset"),
-    (lambda p: p["factors"][0]["perturb"].update(offset=9), "cramer.factors[0].perturb.offset"),
-    (lambda p: p["factors"][0]["perturb"].update(amount="x"), "cramer.factors[0].perturb.amount"),
-])
+    (lambda p: p.update(radius="x"), "$.payload.radius"),
+    (lambda p: p.update(radius=0), "$.payload.radius"),
+    (lambda p: p.update(radius=500), "$.payload.radius"),
+    (lambda p: p.update(min_truncation=12.5), "$.payload.min_truncation"),
+    (lambda p: p["target"].update(sigma="abc"), "$.payload.target.sigma"),
+    (lambda p: p["target"].update(sigma=-1.0), "$.payload.target.sigma"),
+    (lambda p: p["factors"][1].update(shift=[]), "$.payload.factors[1].shift"),
+    (lambda p: p["factors"][0]["perturb"].update(offset="1"),
+     "$.payload.factors[0].perturb.offset"),
+    (lambda p: p["factors"][0]["perturb"].update(offset=9), "$.payload.factors[0].perturb.offset"),
+    (lambda p: p["factors"][0]["perturb"].update(amount="x"),
+     "$.payload.factors[0].perturb.amount"),
+], ids=_named("cramer"))
 def test_run_bad_circle_cramer_field_exits_two(tmp_path, capsys, edit, where):
     scn = _full_surface("circle-perturbed-factor")
     edit(scn["payload"])
     code, out, err = _run_edited(tmp_path, capsys, scn)
     assert (code, out) == (2, "")
-    assert f"invalid input: {where}" in err
+    assert f"{where}: " in err
 
 
 @pytest.mark.parametrize("radius", [500, 7, 0, -1])
@@ -235,7 +249,7 @@ def test_run_construct_radius_outside_window_exits_two(tmp_path, capsys, radius)
     scn["payload"]["radius"] = radius
     code, out, err = _run_edited(tmp_path, capsys, scn)
     assert (code, out) == (2, "")
-    assert f"invalid input: circle-construct.radius: {radius} outside [1, 6]" in err
+    assert "$.payload.radius: " in err
 
 
 def test_run_multi_scenario_order_and_worker_determinism(capsys):
@@ -359,16 +373,16 @@ def test_make_rng_is_philox():
 
 @pytest.mark.parametrize("name, edit, where", [
     ("window-two-terms", lambda p: p.update(R={"radius": 30, "values": [0.0] * 61}),
-     "pexider-chain.R"),
+     "$.payload.R"),
     ("window-two-terms",
      lambda p: p["terms"][0].update(psi={"radius": 40, "dim": 2, "coefficients": {"2,0": 1}}),
-     "pexider-chain.terms[0].psi"),
+     "$.payload.terms[0].psi"),
     ("window-quadratics",
      lambda p: p.update(psi1={"radius": 112, "dim": 2, "coefficients": {"2,0": 1}}),
-     "heyde-chain.psi1"),
+     "$.payload.psi1"),
     ("window-quadratics",
      lambda p: p.update(psi2={"radius": 112, "dim": 2, "coefficients": {"0,2": 2}}),
-     "heyde-chain.psi2"),
+     "$.payload.psi2"),
 ], ids=["R", "term-psi", "psi1", "psi2"])
 def test_run_window_chain_wrong_dim_exits_two(tmp_path, capsys, name, edit, where):
     scn = _full_surface(name)
@@ -376,4 +390,86 @@ def test_run_window_chain_wrong_dim_exits_two(tmp_path, capsys, name, edit, wher
     code, out, err = _run_edited(tmp_path, capsys, scn)
     assert code == 2
     assert out == ""
-    assert f"invalid input: {where}: expected \"dim\"" in err
+    assert where in err
+
+
+def test_document_schema_is_valid():
+    Draft202012Validator.check_schema(DOCUMENT_SCHEMA)
+
+
+@pytest.mark.parametrize("name, edit, where", [
+    ("window-two-terms", lambda p: p["terms"][0]["psi"].update(coefficients={"x": 1}),
+     "$.payload.terms[0].psi.coefficients"),
+    ("window-two-terms", lambda p: p["terms"][0]["psi"].update(coefficients={"-1": 1}),
+     "$.payload.terms[0].psi.coefficients"),
+    ("window-two-terms", lambda p: p["terms"].__setitem__(0, 5), "$.payload.terms[0]"),
+    ("z7-two-degenerate", lambda p: p["components"].__setitem__(0, 5),
+     "$.payload.components[0]"),
+    ("z6-product-has-witness", lambda p: p["joint"]["factors"][0]["probs"].__setitem__(0, "1e400"),
+     "$.payload.joint.factors[0].probs[0]"),
+    ("circle-gaussian-split", lambda p: p["factors"][0].update(shift=1e308),
+     "$.payload.factors[0].shift"),
+    ("circle-gaussian-split", lambda p: p["target"].update(sigma=1e-6), "$.payload.target.sigma"),
+    ("circle-gaussian-split", lambda p: p["target"].update(sigma=1e-300),
+     "$.payload.target.sigma"),
+    ("circle-gaussian-split", lambda p: p.update(min_truncation=2000),
+     "$.payload.min_truncation"),
+], ids=["coefficient-key-x", "coefficient-key-minus-1", "pexider-term", "sd-component",
+        "rational-overflow", "shift-1e308", "sigma-1e-6", "sigma-1e-300", "truncation-2000"])
+def test_run_probe_exits_two_at_its_path(tmp_path, capsys, name, edit, where):
+    scn = _full_surface(name)
+    edit(scn["payload"])
+    with np.errstate(all="ignore"):
+        code, out, err = _run_edited(tmp_path, capsys, scn)
+    assert (code, out) == (2, "")
+    assert f"{where}: " in err
+
+
+def test_run_even_coeffs_list_exits_two(tmp_path, capsys):
+    scn = json.load(open(DATA / "kb_and_circle.json"))["scenarios"][2]
+    scn["payload"]["phi"]["even_coeffs"] = [1, 2]
+    code, out, err = _run_edited(tmp_path, capsys, scn)
+    assert (code, out) == (2, "")
+    assert "$.payload.phi.even_coeffs: " in err
+
+
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_run_non_finite_json_number_exits_two_at_its_path(tmp_path, capsys, text):
+    body = (DATA / "heyde_pass.json").read_text().replace('"scalar": 2', f'"scalar": {text}')
+    path = tmp_path / "edited.json"
+    path.write_text(body)
+    code, out, err = run_cli(["run", path], capsys)
+    assert (code, out) == (2, "")
+    assert "$.payload.alpha.scalar: " in err
+
+
+def test_run_error_names_the_scenario_index(tmp_path, capsys):
+    doc = json.load(open(DATA / "full_surface.json"))
+    doc["scenarios"][5]["payload"]["radius"] = 500
+    code, out, err = _run_edited(tmp_path, capsys, doc)
+    assert (code, out) == (2, "")
+    assert "$.scenarios[5].payload.radius: 500 beyond the truncation 12" in err
+    doc["scenarios"][5]["payload"]["radius"] = "x"
+    code, out, err = _run_edited(tmp_path, capsys, doc)
+    assert "$.scenarios[5].payload.radius: " in err
+
+
+def test_overflowing_residual_is_a_fail_verdict_that_names_it(tmp_path, capsys):
+    scn = _full_surface("window-two-terms")
+    scn["payload"]["terms"][1]["psi"]["coefficients"] = {"3": 1e308, "1": 1}
+    scn["expect"] = "fail"
+    with np.errstate(all="ignore"):
+        code, out, err = _run_edited(tmp_path, capsys, scn)
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert rep["verdict"] == "fail"
+    assert rep["details"]["reason"].startswith("non-finite residual: identity residual nan")
+
+
+def test_construct_and_inspect_validate_their_scenario(capsys):
+    code, out, err = run_cli(["construct", "--phi", '{"even_coeffs": {"3": 1.0}}'], capsys)
+    assert (code, out) == (2, "")
+    assert "$.payload.phi.even_coeffs: '3' does not match" in err
+    code, out, err = run_cli(["inspect", "group", "--orders", "2,5000"], capsys)
+    assert (code, out) == (2, "")
+    assert "$.payload.group.orders[1]: 5000 is greater than the maximum of 4096" in err
