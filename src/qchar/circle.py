@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConstructionRejectedError, UndefinedLogError
+from .errors import ConstructionRejectedError, SizeLimitError, UndefinedLogError
 from .polynomials import IntegerWindow, WindowFunction, peak, quadratic_check, within
 from .witnesses import SpectralJoint
 
@@ -23,7 +23,6 @@ __all__ = [
     "gate_sum",
     "exp_poly_distribution",
     "gaussian_distribution",
-    "gaussian_truncation",
     "sum_difference_q",
     "sum_difference_joint",
     "gaussian_check",
@@ -209,13 +208,17 @@ def exp_poly_distribution(phi: EvenPolynomial, min_truncation: int | None = None
     )
 
 
-def gaussian_truncation(sigma: float, min_truncation: int | None = None) -> int:
-    """Least N >= 1 with exp(-sigma N^2) < COEFF_FLOOR, raised to min_truncation;
-    ValueError over TRUNCATION_CAP, for a tiny sigma before any loop runs."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive; degenerate data is rejected upstream")
-    if math.sqrt(-math.log(COEFF_FLOOR) / sigma) > TRUNCATION_CAP:
-        raise ValueError(f"sigma {sigma!r} needs a truncation above {TRUNCATION_CAP}")
+def gaussian_distribution(shift: float, sigma: float,
+                          min_truncation: int | None = None) -> CircleDistribution:
+    """Gaussian spectral data c_n = exp(i n shift - sigma n^2), truncated at the
+    least N >= 1 with exp(-sigma N^2) < COEFF_FLOOR, raised to min_truncation.
+
+    SizeLimitError, before any loop runs, for a sigma whose coefficients stay
+    above the floor past TRUNCATION_CAP: a tiny one, or one that is not positive.
+    """
+    if not (sigma > 0 and math.sqrt(-math.log(COEFF_FLOOR) / sigma) <= TRUNCATION_CAP):
+        raise SizeLimitError(f"sigma {sigma!r} keeps exp(-sigma n^2) above {COEFF_FLOOR} "
+                             f"past the truncation cap {TRUNCATION_CAP}")
     N = 1
     while math.exp(-sigma * N * N) >= COEFF_FLOOR:
         N += 1
@@ -223,13 +226,6 @@ def gaussian_truncation(sigma: float, min_truncation: int | None = None) -> int:
         N = max(N, int(min_truncation))
     if N > TRUNCATION_CAP:
         raise ValueError(f"truncation {N} is above {TRUNCATION_CAP}")
-    return N
-
-
-def gaussian_distribution(shift: float, sigma: float,
-                          min_truncation: int | None = None) -> CircleDistribution:
-    """Gaussian spectral data c_n = exp(i n shift - sigma n^2); sigma > 0."""
-    N = gaussian_truncation(sigma, min_truncation)
     tail = 0.0
     m = N + 1
     while True:

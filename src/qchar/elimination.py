@@ -29,6 +29,7 @@ from .errors import (
     GroupMismatchError,
     KernelConditionError,
     PremiseError,
+    SizeLimitError,
     WindowExhaustedError,
 )
 from .groups import (
@@ -62,6 +63,9 @@ PREMISE_TOL = 1e-12
 GROUP_FINAL_TOL = 1e-9
 WINDOW_FINAL_TOL = 1e-8
 WINDOW_SHIFT_SET = (1, -1, 2, -2)
+# Integer squares stop at radius 1023: 2047^2 points, 32 MB a float array, of
+# which a chain keeps about six alive at once.
+SQUARE_RADIUS_CAP = 1023
 
 
 @dataclass(frozen=True)
@@ -248,6 +252,9 @@ class _WindowDomain:
             self.radius = R.window.radius
         else:
             self.radius = min(_radius(psi) // (abs(a) + abs(c)) for psi, a, c in terms)
+        if self.radius > SQUARE_RADIUS_CAP:
+            raise SizeLimitError(
+                f"square radius {self.radius} exceeds the cap {SQUARE_RADIUS_CAP}")
         required = (len(terms) + 1) * max_shift + (l + 1) * max_h + l + 2
         if self.radius < required:
             raise WindowExhaustedError(

@@ -46,7 +46,7 @@ class NotAnAutomorphismError(QcharError, ValueError):
 
 
 class SizeLimitError(QcharError, ValueError):
-    """Group order exceeds the cap for exhaustive operations."""
+    """A size exceeds its cap: a group order, a chain square or a circle truncation."""
 
 
 class GroupMismatchError(QcharError, ValueError):

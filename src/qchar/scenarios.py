@@ -34,10 +34,9 @@ from .circle import (
     exp_poly_distribution,
     gate_sum,
     gaussian_distribution,
-    gaussian_truncation,
     sum_difference_joint,
 )
-from .elimination import EliminationProblem, run_heyde_chain, run_pexider_chain
+from .elimination import SQUARE_RADIUS_CAP, EliminationProblem, run_heyde_chain, run_pexider_chain
 from .errors import (
     ConstructionRejectedError,
     FactorizationError,
@@ -195,9 +194,11 @@ def _coefficients_schema(dim: int) -> dict:
 
 
 def _window_schema(dim: int) -> dict:
-    """Values or polynomial coefficients on the window [-radius, radius]^dim."""
+    """Values or polynomial coefficients on the window [-radius, radius]^dim, which
+    holds at most the (2 * SQUARE_RADIUS_CAP + 1)^2 points of the largest chain square."""
+    side = (2 * SQUARE_RADIUS_CAP + 1) ** (2 // dim)
     schema = _obj(["radius"] if dim == 1 else ["radius", "dim"],
-                  radius=_int(0, TRUNCATION_CAP), dim={"const": dim},
+                  radius=_int(0, (side - 1) // 2), dim={"const": dim},
                   values=_NUMBERS if dim == 1 else _array(_NUMBERS),
                   coefficients=_coefficients_schema(dim))
     return {**schema, "oneOf": [{"required": ["values"]}, {"required": ["coefficients"]}]}
@@ -206,7 +207,7 @@ def _window_schema(dim: int) -> dict:
 _EVEN_POLY = _obj(["even_coeffs"], even_coeffs={
     "type": "object", "minProperties": 1, "additionalProperties": _NUMBER,
     "propertyNames": {"pattern": "^([2468]|[1-9][02468])$"}})
-_CIRCLE_FACTOR = _obj(["sigma"], shift=_NUMBER, sigma={"type": "number", "exclusiveMinimum": 0},
+_CIRCLE_FACTOR = _obj(["sigma"], shift=_NUMBER, sigma=_NUMBER,
                       perturb=_obj(["offset", "amount"], amount=_NUMBER,
                                    offset=_int(-TRUNCATION_CAP, TRUNCATION_CAP)))
 
@@ -386,13 +387,13 @@ def _perturbation(radius: int, spec: dict) -> tuple[int, float]:
 def _gaussian(radius: int, min_truncation: int, spec: dict) -> tuple:
     """A cramer factor's Gaussian law and its perturbation (offset, amount) or None."""
     sigma = _at(spec, "sigma", _float)
-    # a sigma whose truncation exceeds the cap is rejected before anything is built
-    _at(spec, "sigma", lambda _: gaussian_truncation(sigma, min_truncation))
-
-    def law(shift):
-        return gaussian_distribution(_float(shift), sigma, min_truncation=min_truncation)
-
-    dist = _at(spec, "shift", law) if "shift" in spec else law(0.0)
+    shift = _at(spec, "shift", _float) if "shift" in spec else 0.0
+    try:
+        dist = gaussian_distribution(shift, sigma, min_truncation=min_truncation)
+    except SizeLimitError as exc:  # the sigma's truncation passes the cap
+        raise _under(".sigma", exc) from exc
+    except ValueError as exc:  # the shifted law fails the distribution checks
+        raise _under(".shift", exc) from exc
     return dist, _at(spec, "perturb", _perturbation, radius) if "perturb" in spec else None
 
 
@@ -721,7 +722,7 @@ def run_sweep(kind: str, seed: int, count: int, max_order: int = 12,
 
 
 def _sweep_report(kind, seed, count, cases, failures, extra) -> dict:
-    report = {
+    return {
         "schema": "qchar-report-1",
         "kind": f"sweep:{kind}",
         "name": f"sweep-{kind}-seed{seed}",
@@ -730,9 +731,6 @@ def _sweep_report(kind, seed, count, cases, failures, extra) -> dict:
         "matched": not failures,
         "details": {"cases": cases, "failures": failures, **extra},
     }
-    return report
-
-
 
 
 # ---- one-shot subcommand helpers -----------------------------------------

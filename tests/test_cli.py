@@ -10,6 +10,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from qchar.cli import canonical_json, main
+from qchar.elimination import SQUARE_RADIUS_CAP
 from qchar.scenarios import (
     DOCUMENT_SCHEMA,
     ScenarioFormatError,
@@ -141,6 +142,35 @@ def test_group_chain_over_size_cap_is_a_fail_verdict():
         assert "exceeds the exhaustive-operation cap" in rep["details"]["reason"]
 
 
+def test_window_chain_runs_at_the_square_cap(tmp_path, capsys):
+    # b = 1 gives both terms |a| + |c| = 4, so psi radius 4095 makes the square radius 1023
+    scn = _full_surface("window-quadratics")
+    for key in ("psi1", "psi2"):
+        scn["payload"][key]["radius"] = 4 * SQUARE_RADIUS_CAP + 3
+    code, out, _ = _run_edited(tmp_path, capsys, scn)
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
+    for key in ("psi1", "psi2"):
+        scn["payload"][key]["radius"] += 1
+    rep = run_scenario(scn)
+    assert rep["verdict"] == "fail"
+    assert rep["details"]["reason"] == "square radius 1024 exceeds the cap 1023"
+
+
+@pytest.mark.parametrize("name, edit, where", [
+    ("window-two-terms", lambda p: p.update(R={"radius": 1024, "dim": 2, "coefficients": {}}),
+     "$.payload.R.radius: 1024 is greater than the maximum of 1023"),
+    ("window-quadratics", lambda p: p["psi1"].update(radius=2095105),
+     "$.payload.psi1.radius: 2095105 is greater than the maximum of 2095104"),
+], ids=["R", "psi1"])
+def test_window_over_the_square_points_exits_two(tmp_path, capsys, name, edit, where):
+    scn = _full_surface(name)
+    edit(scn["payload"])
+    code, out, err = _run_edited(tmp_path, capsys, scn)
+    assert (code, out) == (2, "")
+    assert where in err
+
+
 @pytest.mark.parametrize("edit, where", [
     (lambda p: p["alpha"].update(scalar=2.5), "$.payload.alpha.scalar"),
     (lambda p: p["alpha"].update(scalar="2"), "$.payload.alpha.scalar"),
@@ -234,6 +264,9 @@ def test_run_non_integer_joint_arity_exits_two(tmp_path, capsys):
     (lambda p: p["factors"][0]["perturb"].update(offset=9), "$.payload.factors[0].perturb.offset"),
     (lambda p: p["factors"][0]["perturb"].update(amount="x"),
      "$.payload.factors[0].perturb.amount"),
+    (lambda p: p["factors"][1].update(sigma="-1/2"), "$.payload.factors[1].sigma"),
+    (lambda p: p["factors"][1].update(sigma="0"), "$.payload.factors[1].sigma"),
+    (lambda p: p["factors"][1].update(sigma=0), "$.payload.factors[1].sigma"),
 ], ids=_named("cramer"))
 def test_run_bad_circle_cramer_field_exits_two(tmp_path, capsys, edit, where):
     scn = _full_surface("circle-perturbed-factor")
@@ -243,13 +276,29 @@ def test_run_bad_circle_cramer_field_exits_two(tmp_path, capsys, edit, where):
     assert f"{where}: " in err
 
 
-@pytest.mark.parametrize("radius", [500, 7, 0, -1])
-def test_run_construct_radius_outside_window_exits_two(tmp_path, capsys, radius):
+def test_circle_sigma_takes_rational_strings(tmp_path, capsys):
+    scn = _full_surface("circle-gaussian-split")
+    _, want, _ = _run_edited(tmp_path, capsys, scn)
+    scn["payload"]["target"]["sigma"] = "1"
+    for factor in scn["payload"]["factors"]:
+        factor["sigma"] = "1/2"
+    code, out, _ = _run_edited(tmp_path, capsys, scn)
+    assert code == 0
+    assert out == want
+
+
+@pytest.mark.parametrize("radius, why", [
+    (500, "500 outside [1, 6]"),
+    (7, "7 outside [1, 6]"),
+    (0, "0 is less than the minimum of 1"),
+    (-1, "-1 is less than the minimum of 1"),
+], ids=["500", "7", "0", "-1"])
+def test_run_construct_radius_outside_window_exits_two(tmp_path, capsys, radius, why):
     scn = json.load(open(DATA / "kb_and_circle.json"))["scenarios"][2]
     scn["payload"]["radius"] = radius
     code, out, err = _run_edited(tmp_path, capsys, scn)
     assert (code, out) == (2, "")
-    assert "$.payload.radius: " in err
+    assert f"$.payload.radius: {why}" in err
 
 
 def test_run_multi_scenario_order_and_worker_determinism(capsys):
@@ -373,16 +422,16 @@ def test_make_rng_is_philox():
 
 @pytest.mark.parametrize("name, edit, where", [
     ("window-two-terms", lambda p: p.update(R={"radius": 30, "values": [0.0] * 61}),
-     "$.payload.R"),
+     "$.payload.R: 'dim' is a required property"),
     ("window-two-terms",
      lambda p: p["terms"][0].update(psi={"radius": 40, "dim": 2, "coefficients": {"2,0": 1}}),
-     "$.payload.terms[0].psi"),
+     "$.payload.terms[0].psi.dim: 1 was expected"),
     ("window-quadratics",
      lambda p: p.update(psi1={"radius": 112, "dim": 2, "coefficients": {"2,0": 1}}),
-     "$.payload.psi1"),
+     "$.payload.psi1.dim: 1 was expected"),
     ("window-quadratics",
      lambda p: p.update(psi2={"radius": 112, "dim": 2, "coefficients": {"0,2": 2}}),
-     "$.payload.psi2"),
+     "$.payload.psi2.dim: 1 was expected"),
 ], ids=["R", "term-psi", "psi1", "psi2"])
 def test_run_window_chain_wrong_dim_exits_two(tmp_path, capsys, name, edit, where):
     scn = _full_surface(name)
