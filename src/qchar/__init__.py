@@ -9,228 +9,26 @@ arguments are replayed as explicit elimination chains whose residuals
 are reported step by step.
 """
 
-from .errors import (
-    QcharError,
-    GroupMismatchError,
-    InvalidElementError,
-    InvalidSubgroupError,
-    NotAHomomorphismError,
-    NotAnAutomorphismError,
-    NotPositiveDefiniteError,
-    SizeLimitError,
-    WindowExhaustedError,
-    UndefinedLogError,
-    HypothesisError,
-    PremiseError,
-    KernelConditionError,
-    FactorizationError,
-    ConstructionRejectedError,
-)
-from .groups import (
-    FiniteAbelianGroup,
-    GroupElement,
-    Subgroup,
-    GroupHom,
-    Automorphism,
-    annihilator,
-    adjoint,
-    multiplication_map,
-    is_corwin,
-    structural_predicates,
-    element_order,
-    primary_component,
-    generating_set,
-    quotient,
-    all_subgroups,
-    groups_up_to_order,
-)
-from .kernels import dft, dft_many, convolve, active_backend
-from .measures import (
-    Distribution,
-    CharacteristicFunction,
-    JointDistribution,
-    char_fn,
-    inverse_char_fn,
-    haar,
-    haar_cf,
-    degenerate,
-    shifted_haar,
-    support_bound,
-    idempotent_shift_factor,
-    push_forward,
-    product_joint,
-    linear_form_joint,
-    random_distribution,
-)
-from .polynomials import (
-    IntegerWindow,
-    WindowFunction,
-    GroupFunction,
-    PolynomialCertificate,
-    tabulate,
-    delta,
-    iterated_delta,
-    is_polynomial,
-    min_degree,
-    constancy_check,
-    quadratic_check,
-)
-from .witnesses import (
-    QWitness,
-    SpectralJoint,
-    verify_q_independence,
-    extract_q_witness,
-    q_identical_witness,
-)
-from .circle import (
-    EvenPolynomial,
-    CircleDistribution,
-    GaussianSpec,
-    gate_sum,
-    exp_poly_distribution,
-    gaussian_distribution,
-    density_grid,
-    sum_difference_q,
-    sum_difference_joint,
-    gaussian_check,
-)
-from .elimination import (
-    EliminationProblem,
-    EliminationStep,
-    EliminationTrace,
-    substitute_and_subtract,
-    run_pexider_chain,
-    run_heyde_chain,
-)
-from .characterizers import (
-    SDInstance,
-    SDConclusion,
-    sd_equation_residual,
-    sd_conclude,
-    HeydeInstance,
-    HeydeConclusion,
-    heyde_condition,
-    heyde_symmetry_residual,
-    symmetry_witness,
-    heyde_conclude,
-    KBInstance,
-    KBFactorization,
-    kb_equation_residual,
-    kb_doubling_check,
-    kb_factorize,
-    CramerReport,
-    cramer_check,
-)
-from .scenarios import run_scenario, run_sweep, run_inspect, run_construct, make_rng
-from .cli import canonical_json, main
+# Each module's ``__all__`` is its public surface, and the package exports
+# all of them.  kernels comes after measures: ``qchar.convolve`` is the
+# array kernel, ``qchar.measures.convolve`` the convolution of laws.
+from .errors import *  # noqa: F401,F403
+from .groups import *  # noqa: F401,F403
+from .measures import *  # noqa: F401,F403
+from .kernels import *  # noqa: F401,F403
+from .polynomials import *  # noqa: F401,F403
+from .witnesses import *  # noqa: F401,F403
+from .circle import *  # noqa: F401,F403
+from .elimination import *  # noqa: F401,F403
+from .characterizers import *  # noqa: F401,F403
+from .scenarios import *  # noqa: F401,F403
+from .cli import *  # noqa: F401,F403
+from . import (characterizers, circle, cli, elimination, errors, groups, kernels, measures,
+               polynomials, scenarios, witnesses)
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "QcharError",
-    "GroupMismatchError",
-    "InvalidElementError",
-    "InvalidSubgroupError",
-    "NotAHomomorphismError",
-    "NotAnAutomorphismError",
-    "NotPositiveDefiniteError",
-    "SizeLimitError",
-    "WindowExhaustedError",
-    "UndefinedLogError",
-    "HypothesisError",
-    "PremiseError",
-    "KernelConditionError",
-    "FactorizationError",
-    "ConstructionRejectedError",
-    "FiniteAbelianGroup",
-    "GroupElement",
-    "Subgroup",
-    "GroupHom",
-    "Automorphism",
-    "annihilator",
-    "adjoint",
-    "multiplication_map",
-    "is_corwin",
-    "structural_predicates",
-    "element_order",
-    "primary_component",
-    "generating_set",
-    "quotient",
-    "all_subgroups",
-    "groups_up_to_order",
-    "dft",
-    "dft_many",
-    "convolve",
-    "active_backend",
-    "Distribution",
-    "CharacteristicFunction",
-    "JointDistribution",
-    "char_fn",
-    "inverse_char_fn",
-    "haar",
-    "haar_cf",
-    "degenerate",
-    "shifted_haar",
-    "support_bound",
-    "idempotent_shift_factor",
-    "push_forward",
-    "product_joint",
-    "linear_form_joint",
-    "random_distribution",
-    "IntegerWindow",
-    "WindowFunction",
-    "GroupFunction",
-    "PolynomialCertificate",
-    "tabulate",
-    "delta",
-    "iterated_delta",
-    "is_polynomial",
-    "min_degree",
-    "constancy_check",
-    "quadratic_check",
-    "QWitness",
-    "SpectralJoint",
-    "verify_q_independence",
-    "extract_q_witness",
-    "q_identical_witness",
-    "EvenPolynomial",
-    "CircleDistribution",
-    "GaussianSpec",
-    "gate_sum",
-    "exp_poly_distribution",
-    "gaussian_distribution",
-    "density_grid",
-    "sum_difference_q",
-    "sum_difference_joint",
-    "gaussian_check",
-    "EliminationProblem",
-    "EliminationStep",
-    "EliminationTrace",
-    "substitute_and_subtract",
-    "run_pexider_chain",
-    "run_heyde_chain",
-    "SDInstance",
-    "SDConclusion",
-    "sd_equation_residual",
-    "sd_conclude",
-    "HeydeInstance",
-    "HeydeConclusion",
-    "heyde_condition",
-    "heyde_symmetry_residual",
-    "symmetry_witness",
-    "heyde_conclude",
-    "KBInstance",
-    "KBFactorization",
-    "kb_equation_residual",
-    "kb_doubling_check",
-    "kb_factorize",
-    "CramerReport",
-    "cramer_check",
-    "run_scenario",
-    "run_sweep",
-    "run_inspect",
-    "run_construct",
-    "make_rng",
-    "canonical_json",
-    "main",
-]
+__all__ = list(dict.fromkeys(
+    name for module in (errors, groups, measures, kernels, polynomials, witnesses, circle,
+                        elimination, characterizers, scenarios, cli)
+    for name in module.__all__))

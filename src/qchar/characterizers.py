@@ -86,7 +86,7 @@ def _locate_character(group: FiniteAbelianGroup, values: np.ndarray,
     values = np.asarray(values)
     best = int(np.argmax(np.abs(kernels.dft(group, values, sign=-1))))
     row = _characters(group, [best], np.arange(group.order))[0]
-    if np.abs(row - values).max() > tol:
+    if not within(peak(row - values), tol):
         return None
     return GroupElement(group.coords(best))
 
@@ -97,7 +97,7 @@ def _check_q(group: FiniteAbelianGroup, q) -> np.ndarray | None:
     sq = _square_group(group)
     if not isinstance(q, GroupFunction) or q.group != sq:
         raise GroupMismatchError("witness must live on the dual product group")
-    if abs(q.values[0]) > 1e-10:
+    if not within(abs(q.values[0]), 1e-10):
         raise ValueError("witness must vanish at zero")
     return np.asarray(q.values).reshape(group.order, group.order)
 

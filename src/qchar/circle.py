@@ -73,7 +73,8 @@ def gate_sum(phi: EvenPolynomial) -> tuple[float, float, int]:
 
     Terms are accumulated until they drop below 1e-30 while the increments
     phi(n+1) - phi(n) are at least 1 and growing; past that point the tail
-    is dominated by a geometric series with ratio 1/e.
+    is dominated by a geometric series with ratio 1/e.  A non-finite phi(n)
+    or sum is rejected at once.
     """
     if phi.leading <= 0:
         raise ConstructionRejectedError(
@@ -85,8 +86,16 @@ def gate_sum(phi: EvenPolynomial) -> tuple[float, float, int]:
     prev_step = -math.inf
     while True:
         n += 1
-        term = math.exp(-phi(n))
+        value = phi(n)
+        try:
+            term = math.exp(-value)
+        except OverflowError:
+            term = math.inf
         total += 2.0 * term
+        if not (math.isfinite(value) and math.isfinite(total)):
+            raise ConstructionRejectedError(
+                f"term {n} of the coefficient sum is not finite (phi({n}) = {value!r})",
+                computed_sum=total)
         step = phi(n + 1) - phi(n)
         if term < 1e-30 and step >= 1.0 and step >= prev_step:
             break

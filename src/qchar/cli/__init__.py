@@ -23,6 +23,8 @@ from ..scenarios import (
     run_sweep,
 )
 
+__all__ = ["canonical_json", "main"]
+
 
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, compact separators, .17g floats."""

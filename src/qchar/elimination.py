@@ -16,6 +16,10 @@ operands.  So the terms, P and Q are differenced on the base domain and only
 R on the square; the terms meet the square once, in the premise check.  The
 P difference gives two residuals: ``direct`` is its peak, ``collapse`` its
 peak over the u-range the shrunk square still covers (all of G on a group).
+
+On a group the sweep differences a block of shifts at once, at most
+``BLOCK_ENTRIES`` square entries a block, then walks the block shift by
+shift: the trace and the first failure are those of one shift at a time.
 """
 
 from __future__ import annotations
@@ -40,11 +44,16 @@ from .groups import (
     multiplication_map,
 )
 from .polynomials import (
+    BLOCK_ENTRIES,
     GROUP_POLY_TOL,
     GroupFunction,
     IntegerWindow,
     WindowFunction,
+    _blocks,
+    _centre,
+    _radius,
     delta,
+    difference,
     min_degree,
     peak,
     within,
@@ -168,7 +177,9 @@ def substitute_and_subtract(F, shift):
 # square as 2-d arrays.  Coefficients are endomorphism index tables on a group
 # and integers on a window; ``one`` and ``zero`` are the identity and the zero
 # coefficient.  Every value the chain reads is psi(a x + c y): ``lin`` forms
-# a x + c y elementwise and ``take`` reads psi there.
+# a x + c y elementwise and ``take`` reads psi there.  The sweep runs over
+# blocks of up to ``block`` shifts: ``batch`` turns one into the shift that
+# ``diff`` takes, and ``peaks`` gives one peak per shift of the block.
 
 
 def _floats(fn) -> np.ndarray:
@@ -188,6 +199,11 @@ class _GroupDomain:
         self.neg = np.asarray(_neg_table(group), dtype=np.int64)
         self.zero = np.zeros_like(self.one)
         self.shifts = [(h, list(group.coords(h))) for h in range(1, group.order)]
+        self.block = BLOCK_ENTRIES // group.order ** 2
+
+    @staticmethod
+    def batch(hs):
+        return np.asarray(hs, dtype=np.int64)
 
     def square(self, R):
         return None if R is None else _floats(R).reshape(self.group.order, self.group.order)
@@ -203,11 +219,20 @@ class _GroupDomain:
         """k(h) = -c^-1(a h) for every h, so that a h + c k(h) = 0."""
         c_inv = np.empty_like(c)
         c_inv[c] = np.arange(c.size)
-        return [int(k) for k in self.neg[c_inv[a]]]
+        return self.neg[c_inv[a]]
 
     def diff(self, f, *shift):
-        """D_shift f on G (one shift) or on G x G (a pair)."""
-        return f[np.ix_(*(self.add[:, x] for x in shift))] - f
+        """D_shift f for a block of shifts, on G (one element each) or on G x G (a pair)."""
+        if len(shift) == 1:
+            return difference(f, self.add[shift[0]])
+        n = self.group.order
+        move = self.add[shift[0]][:, :, None] * n + self.add[shift[1]][:, None, :]
+        moved = difference(f.reshape(*f.shape[:-2], n * n), move.reshape(-1, n * n))
+        return moved.reshape(move.shape)
+
+    @staticmethod
+    def peaks(f):
+        return np.abs(f).reshape(f.shape[0], -1).max(axis=1)
 
     @staticmethod
     def u_range(p, r):
@@ -217,16 +242,6 @@ class _GroupDomain:
         if values.ndim == 1:
             return GroupFunction(self.group, values)
         return GroupFunction(FiniteAbelianGroup(self.group.orders * 2), values.ravel())
-
-
-def _radius(f) -> int:
-    return (f.shape[0] - 1) // 2
-
-
-def _centre(f, r):
-    """The middle [-r, r] (on every axis) of a centred window array."""
-    off = _radius(f) - r
-    return f[tuple(slice(off, off + 2 * r + 1) for _ in f.shape)]
 
 
 class _WindowDomain:
@@ -241,6 +256,7 @@ class _WindowDomain:
     final_tol = WINDOW_FINAL_TOL
     poly_tol = None
     one, zero = 1, 0
+    block = 1  # each shift shrinks the window by its own size
 
     def __init__(self, terms, R, l: int, shift_set):
         base = math.lcm(*(abs(c) for *_, c in terms))
@@ -283,11 +299,17 @@ class _WindowDomain:
         return {h: -(a * h) // c for h, _ in self.shifts}
 
     @staticmethod
+    def batch(hs):
+        return hs[0]
+
+    @staticmethod
     def diff(f, *shift):
         """D_shift f on the window, which shrinks by the largest |shift| entry."""
-        r = _radius(f) - max(abs(x) for x in shift)
-        off = _radius(f) - r
-        return f[tuple(slice(off + x, off + x + 2 * r + 1) for x in shift)] - _centre(f, r)
+        return difference(f, shift)
+
+    @staticmethod
+    def peaks(f):
+        return [peak(f)]
 
     @staticmethod
     def u_range(p, r):
@@ -352,10 +374,12 @@ def _run_chain(mode, dom, terms, P, Q, R, l, final_tol):
     parts = terms[::-1] + [(Q, dom.zero, dom.one)]
     cancel_shifts = [dom.cancel_shifts(a, c) for _, a, c in parts]
     collapse_shifts = dom.cancel_shifts(dom.one, dom.one)  # (h, -h)
-    for h, label in dom.shifts:
+    for block in _blocks(len(dom.shifts), dom.block):
+        rows = dom.shifts[block]
+        h = dom.batch([x for x, _ in rows])
         live = [psi for psi, _, _ in parts]
-        p, r, steps = P, R, []
-        for i, (name, step) in enumerate(names):
+        p, r, after = P, R, []
+        for i in range(len(names)):
             s, t = h, cancel_shifts[i][h]
             # part j is psi_j(a_j u + c_j v): it moves by a_j s + c_j t on the base domain
             for j in range(i, len(parts)):
@@ -363,30 +387,28 @@ def _run_chain(mode, dom, terms, P, Q, R, l, final_tol):
                 live[j] = dom.diff(live[j], dom.lin(a, c, s, t))
             p = dom.diff(p, s)
             r = dom.diff(r, s, t)
-            after = peak(live[i])
-            _require(after, final_tol, f"step {step} failed to cancel {name}")
-            steps.append(EliminationStep(label=step, shift=(s, t), cancelled=name,
-                                         max_after=after))
+            after.append(dom.peaks(live[i]))
         for _ in range(l + 1):
             p = dom.diff(p, h)
             r = dom.diff(r, h, collapse_shifts[h])
-        annihil = peak(r)
-        collapse = peak(dom.u_range(p, r))
-        direct = peak(p)
-        if not trace.steps:
-            trace.steps = steps + [
-                EliminationStep(label="annihilate-cross", shift=(h, collapse_shifts[h]),
-                                cancelled="r", max_after=annihil)
-            ]
-        trace.sweep.append({
-            "shift": label,
-            "annihilation": annihil,
-            "collapse": collapse,
-            "direct": direct,
-        })
-        _require(annihil, final_tol, f"cross-term annihilation failed at shift {label}")
-        _require(peak([collapse, direct]), final_tol,
-                 f"target difference of order {order} fails to vanish at shift {label}")
+        annihil, collapse, direct = dom.peaks(r), dom.peaks(dom.u_range(p, r)), dom.peaks(p)
+        # walk the block shift by shift, so the first failure raises as unbatched
+        for b, (x, label) in enumerate(rows):
+            for i, (name, step) in enumerate(names):
+                _require(float(after[i][b]), final_tol, f"step {step} failed to cancel {name}")
+            entry = {"shift": label, "annihilation": float(annihil[b]),
+                     "collapse": float(collapse[b]), "direct": float(direct[b])}
+            if not trace.sweep:
+                trace.steps = [EliminationStep(step, (x, int(cancel_shifts[i][x])), name,
+                                               float(after[i][b]))
+                               for i, (name, step) in enumerate(names)]
+                trace.steps.append(EliminationStep("annihilate-cross", (x, int(collapse_shifts[x])),
+                                                   "r", entry["annihilation"]))
+            trace.sweep.append(entry)
+            _require(entry["annihilation"], final_tol,
+                     f"cross-term annihilation failed at shift {label}")
+            _require(peak([entry["collapse"], entry["direct"]]), final_tol,
+                     f"target difference of order {order} fails to vanish at shift {label}")
     trace.annihilation_residual = peak([e["annihilation"] for e in trace.sweep])
     trace.collapse_residual = peak([e["collapse"] for e in trace.sweep])
     trace.direct_residual = peak([e["direct"] for e in trace.sweep])

@@ -45,6 +45,7 @@ __all__ = [
     "structural_predicates",
     "element_order",
     "primary_component",
+    "generating_set",
     "quotient",
     "all_subgroups",
     "groups_up_to_order",

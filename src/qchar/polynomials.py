@@ -13,6 +13,13 @@ subtraction is monotone), found in O(|G|) without an addition table.
 ``min_degree`` certifies a window function's degree without fitting it; the
 certificate's ``coefficients`` are fitted on first read and cached.
 
+``difference`` is the one shifted difference, on plain arrays; the degree
+scans and the elimination chains both use it.  A scan runs its shifts in
+blocks along a leading batch axis, at most ``BLOCK_ENTRIES`` entries an
+array, and each entry is the same subtraction as one shift at a time.  It
+stops a degree at the first shift whose peak fails ``within``, since a
+failing degree's residual is never reported.
+
 Residuals are taken with ``peak``, which propagates NaN, and compared with
 ``within``, which is False for NaN, so non-finite data never certify.
 """
@@ -34,6 +41,7 @@ __all__ = [
     "GroupFunction",
     "PolynomialCertificate",
     "tabulate",
+    "difference",
     "delta",
     "iterated_delta",
     "is_polynomial",
@@ -50,6 +58,9 @@ __all__ = [
 GROUP_POLY_TOL = 1e-10
 WINDOW_POLY_TOL = 1e-8
 DEGREE_CAP = 8
+# Shifts are differenced in blocks of at most this many array entries: 128 KB
+# of floats stays in cache, and keeps a chain on Z_64 under 1 MiB.
+BLOCK_ENTRIES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -155,28 +166,48 @@ def tabulate(radius: int, dim: int, fn) -> WindowFunction:
     return WindowFunction(w, vals.reshape((w.side,) * dim))
 
 
-def _shift_spec(f, h):
-    if isinstance(f, GroupFunction):
-        return int(f.group.as_index(h))
-    return tuple(int(c) for c in np.atleast_1d(h))
+def _radius(values) -> int:
+    return (values.shape[-1] - 1) // 2
+
+
+def _centre(values, r):
+    """The middle [-r, r] (on every axis) of a centred window array."""
+    off = _radius(values) - r
+    return values[tuple(slice(off, off + 2 * r + 1) for _ in values.shape)]
+
+
+def difference(values, move):
+    """f(x + h) - f(x) on a plain array of values.
+
+    On a group, ``move`` is an index array holding x + h at every flat index
+    x; leading axes of ``values`` and ``move`` broadcast, so one call
+    differences a block of shifts.  On a centred window, ``move`` is the
+    shift h, one integer per axis, and the window shrinks by max |h| at each
+    end.
+    """
+    if isinstance(move, np.ndarray):
+        if values.ndim == move.ndim > 1:  # a batch of rows: row b reads row b
+            move = move + np.arange(0, values.size, values.shape[-1]).reshape(-1, 1)
+        moved = values.reshape(-1).take(move)
+        moved -= values
+        return moved
+    r = _radius(values) - max(abs(c) for c in move)
+    if r < 0:
+        raise WindowExhaustedError(f"shift {move} exhausts window of radius {_radius(values)}")
+    off = _radius(values) - r
+    return values[tuple(slice(off + c, off + c + 2 * r + 1) for c in move)] - _centre(values, r)
 
 
 def delta(f, h):
     """Forward difference D_h f(y) = f(y + h) - f(y)."""
     if isinstance(f, GroupFunction):
         moved = _add(f.group, np.arange(f.group.order), f.group.as_index(h))
-        return GroupFunction(f.group, f.values[moved] - f.values)
-    h = _shift_spec(f, h)
+        return GroupFunction(f.group, difference(f.values, moved))
+    h = tuple(int(c) for c in np.atleast_1d(h))
     if len(h) != f.window.dim:
         raise GroupMismatchError("shift dimension does not match window")
-    N = f.window.radius
-    reach = max((abs(c) for c in h), default=0)
-    new_r = N - reach
-    if new_r < 0:
-        raise WindowExhaustedError(f"shift {h} exhausts window of radius {N}")
-    base = tuple(slice(N - new_r, N + new_r + 1) for _ in range(f.window.dim))
-    moved = tuple(slice(N - new_r + c, N + new_r + 1 + c) for c in h)
-    return WindowFunction(IntegerWindow(new_r, f.window.dim), f.values[moved] - f.values[base])
+    d = difference(f.values, h)
+    return WindowFunction(IntegerWindow(_radius(d), f.window.dim), d)
 
 
 def iterated_delta(f, h, times: int):
@@ -185,30 +216,72 @@ def iterated_delta(f, h, times: int):
     return f
 
 
-def _admissible_shifts(f, n: int):
-    if isinstance(f, GroupFunction):
-        return range(1, f.group.order)
-    N, m = f.window.radius, f.window.dim
-    if N < n + 2:
-        raise WindowExhaustedError(f"radius {N} too small for degree-{n} test (needs >= {n + 2})")
-    reach = N // (n + 1)
-    shifts = [h for h in itertools.product(range(-reach, reach + 1), repeat=m) if any(h)]
-    return shifts
+def _blocks(count: int, size: int):
+    """Slices of range(count): the first shift alone, where a failing degree or
+    chain almost always fails, then up to ``size`` shifts each."""
+    edges = [0, *range(1, count, max(size, 1)), count] if count else []
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _poly_residual(f, n: int) -> float:
+def _shift_peaks(f, n: int):
+    """Peaks of the (n+1)-fold difference at the admissible shifts, in order, one array per block.
+
+    A window is differenced as its flat array with x + h clipped to it.  An
+    entry whose chain of shifts leaves the window comes out wrong, so only
+    the centred box where every chain stays inside enters the peak.
+    """
+    vals = np.asarray(f.values).ravel()
+    x = np.arange(vals.size)
+    on_group = isinstance(f, GroupFunction)
+    if on_group:
+        shifts = np.arange(1, f.group.order)[:, None]
+    else:
+        N, m = f.window.radius, f.window.dim
+        if N < n + 2:
+            raise WindowExhaustedError(
+                f"radius {N} too small for degree-{n} test (needs >= {n + 2})")
+        reach = N // (n + 1)
+        shifts = np.array(list(itertools.product(range(-reach, reach + 1), repeat=m)))
+        shifts = shifts[shifts.any(axis=1)]
+        offsets = shifts @ f.window.side ** np.arange(m - 1, -1, -1)
+        radii = N - (n + 1) * np.abs(shifts).max(axis=1)
+        from_centre = np.abs(np.indices(f.values.shape) - N).max(axis=0).ravel()
+    for block in _blocks(len(shifts), BLOCK_ENTRIES // vals.size):
+        if on_group:
+            move, inside = _add(f.group, x, shifts[block]), True
+        else:
+            move = np.clip(x + offsets[block, None], 0, x.size - 1)
+            inside = from_centre <= radii[block, None]
+        d = vals
+        for _ in range(n + 1):
+            d = difference(d, move)
+        yield np.where(inside, np.abs(d), 0.0).max(axis=1)
+
+
+def _poly_residual(f, n: int, tol=None) -> float:
+    """Largest (n+1)-fold difference over all admissible shifts.
+
+    With ``tol`` it returns the first shift's peak that fails ``within``: a
+    failing degree is decided there, and its residual is never reported.
+    """
     if n == 0 and isinstance(f, GroupFunction):
         vals = f.values
         if vals.dtype.kind == "f" and np.isfinite(vals).all():
             return float(abs(vals.max() - vals.min()))
-    return peak([peak(iterated_delta(f, h, n + 1).values) for h in _admissible_shifts(f, n)])
+    seen = []
+    for peaks in _shift_peaks(f, n):
+        failing = np.flatnonzero(~(peaks <= tol)) if tol is not None else ()
+        if len(failing):
+            return float(peaks[failing[0]])
+        seen.append(peaks)
+    return peak(np.concatenate(seen or [[]]))
 
 
 def is_polynomial(f, n: int, tol: float | None = None) -> bool:
     """Degree <= n in the repeated-shift sense, over all admissible shifts."""
     if tol is None:
         tol = GROUP_POLY_TOL if isinstance(f, GroupFunction) else WINDOW_POLY_TOL
-    return within(_poly_residual(f, n), tol)
+    return within(_poly_residual(f, n, tol), tol)
 
 
 def min_degree(f, n_max: int | None = None, tol: float | None = None) -> PolynomialCertificate | None:
@@ -224,7 +297,7 @@ def min_degree(f, n_max: int | None = None, tol: float | None = None) -> Polynom
         if n_max is None:
             n_max = min(DEGREE_CAP, f.window.radius - 2)
     for n in range(n_max + 1):
-        r = _poly_residual(f, n)
+        r = _poly_residual(f, n, tol)
         if within(r, tol):
             cert = PolynomialCertificate(degree=n, residual=r)
             if isinstance(f, WindowFunction):

@@ -637,8 +637,11 @@ _RUNNERS = {
 }
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_scenario(scenario: dict, profile: str = "default") -> dict:
     """Execute one scenario object and return its report dict.
+
+    Overflow runs silently: a non-finite residual still decides the verdict.
 
     The scenario must satisfy ``SCENARIO_SCHEMA``: its payload is not
     validated again here.  Input errors the schema cannot state raise
@@ -673,9 +676,10 @@ def _random_joint(group: FiniteAbelianGroup, arity: int,
     return JointDistribution((group,) * arity, probs)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_sweep(kind: str, seed: int, count: int, max_order: int = 12,
               arities=(2, 3)) -> dict:
-    """Randomized property sweep; deterministic for a fixed seed."""
+    """Randomized property sweep; deterministic for a fixed seed, silent on overflow."""
     if kind not in SWEEP_KINDS:
         raise ScenarioFormatError(f"unknown sweep kind {kind!r}")
     rng = make_rng(seed)

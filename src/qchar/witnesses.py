@@ -22,6 +22,7 @@ from .polynomials import (
     WindowFunction,
     fit_polynomial_window,
     min_degree,
+    peak,
     poly_eval,
     within,
 )
@@ -87,12 +88,11 @@ def _marginal_product_grid(sj: SpectralJoint) -> np.ndarray:
 
 
 def _validate_q(q, tol_zero: float = 1e-10):
-    origin = q.value((0,) * (q.window.dim if isinstance(q, WindowFunction) else q.group.rank)) \
-        if isinstance(q, WindowFunction) else q.value(0)
-    if abs(origin) > tol_zero:
+    origin = q.value((0,) * q.window.dim) if isinstance(q, WindowFunction) else q.value(0)
+    if not within(abs(origin), tol_zero):
         raise ValueError(f"witness must vanish at zero, got {origin!r}")
     if isinstance(q, GroupFunction):
-        if np.abs(np.asarray(q.values)).max(initial=0.0) > tol_zero:
+        if not within(peak(q.values), tol_zero):
             raise ValueError("on a finite group a polynomial witness is identically zero")
     else:
         if min_degree(q) is None:

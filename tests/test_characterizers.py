@@ -21,6 +21,7 @@ from qchar.characterizers import (
 from qchar.circle import gaussian_distribution
 from qchar.errors import FactorizationError, HypothesisError, KernelConditionError
 from qchar.groups import Automorphism, FiniteAbelianGroup, Subgroup
+from qchar.polynomials import GroupFunction
 from qchar.measures import (
     Distribution,
     char_fn,
@@ -240,3 +241,26 @@ def test_cramer_circle_flags_negative_density_factor():
             bent,
             (half.cf_window(3), half.log_window(3)),
         )
+
+
+# -- non-finite values never pass a tolerance check --------------------------------
+
+
+def test_locate_character_rejects_all_nan_values():
+    from qchar.characterizers import _locate_character
+
+    g = FiniteAbelianGroup((5,))
+    assert _locate_character(g, np.full(5, np.nan)) is None
+    assert _locate_character(g, np.ones(5)).coords == (0,)
+
+
+def test_check_q_rejects_a_nan_origin():
+    from qchar.characterizers import _check_q
+
+    g = FiniteAbelianGroup((5,))
+    sq = FiniteAbelianGroup((5, 5))
+    q = np.zeros(25)
+    q[0] = np.nan
+    with pytest.raises(ValueError, match="vanish at zero"):
+        _check_q(g, GroupFunction(sq, q))
+    assert _check_q(g, GroupFunction(sq, np.zeros(25))).shape == (5, 5)

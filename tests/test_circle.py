@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -104,3 +106,20 @@ def test_sum_difference_joint_consistency():
     got = sj.joint.value((2, 1))
     expect = d1.coeff(3) * d2.coeff(1)
     assert got == pytest.approx(expect, rel=1e-10)
+
+
+@pytest.mark.parametrize("coeffs, stop, verdict", [
+    ({2: -1e308, 4: 1e308}, 2, "fail"),  # phi(2) = -inf + inf = nan
+    ({2: -1e300, 4: 1.0}, 1, "fail"),  # exp(-phi(1)) overflows
+    ({2: -2e307, 4: 2e307}, 2, "hypothesis-violated"),  # phi(2) = inf
+])
+def test_gate_sum_rejects_the_first_non_finite_term(coeffs, stop, verdict):
+    from qchar.scenarios import run_construct
+
+    with pytest.raises(ConstructionRejectedError, match=f"term {stop} of the coefficient sum"):
+        gate_sum(EvenPolynomial(coeffs))
+    started = time.perf_counter()
+    report = run_construct({"even_coeffs": {str(k): v for k, v in coeffs.items()}})
+    assert time.perf_counter() - started < 0.5
+    assert report["verdict"] == verdict
+    assert report["details"]["reason"].startswith(f"term {stop} of the coefficient sum")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -446,7 +447,7 @@ def test_document_schema_is_valid():
     Draft202012Validator.check_schema(DOCUMENT_SCHEMA)
 
 
-@pytest.mark.parametrize("name, edit, where", [
+_PROBES = [
     ("window-two-terms", lambda p: p["terms"][0]["psi"].update(coefficients={"x": 1}),
      "$.payload.terms[0].psi.coefficients"),
     ("window-two-terms", lambda p: p["terms"][0]["psi"].update(coefficients={"-1": 1}),
@@ -463,8 +464,12 @@ def test_document_schema_is_valid():
      "$.payload.target.sigma"),
     ("circle-gaussian-split", lambda p: p.update(min_truncation=2000),
      "$.payload.min_truncation"),
-], ids=["coefficient-key-x", "coefficient-key-minus-1", "pexider-term", "sd-component",
-        "rational-overflow", "shift-1e308", "sigma-1e-6", "sigma-1e-300", "truncation-2000"])
+]
+_PROBE_IDS = ["coefficient-key-x", "coefficient-key-minus-1", "pexider-term", "sd-component",
+              "rational-overflow", "shift-1e308", "sigma-1e-6", "sigma-1e-300", "truncation-2000"]
+
+
+@pytest.mark.parametrize("name, edit, where", _PROBES, ids=_PROBE_IDS)
 def test_run_probe_exits_two_at_its_path(tmp_path, capsys, name, edit, where):
     scn = _full_surface(name)
     edit(scn["payload"])
@@ -513,6 +518,28 @@ def test_overflowing_residual_is_a_fail_verdict_that_names_it(tmp_path, capsys):
     rep = json.loads(out)
     assert rep["verdict"] == "fail"
     assert rep["details"]["reason"].startswith("non-finite residual: identity residual nan")
+
+
+def _overflowing_residual(p):
+    p["terms"][1]["psi"]["coefficients"] = {"3": 1e308, "1": 1}
+
+
+@pytest.mark.parametrize("name, edit, where", _PROBES + [
+    ("window-two-terms", _overflowing_residual, None),
+], ids=_PROBE_IDS + ["overflowing-residual"])
+def test_run_writes_no_numpy_warning_to_stderr(tmp_path, capsys, name, edit, where):
+    scn = _full_surface(name)
+    edit(scn["payload"])
+    scn["expect"] = "fail"
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code, out, err = _run_edited(tmp_path, capsys, scn)
+    assert [str(w.message) for w in seen] == []
+    if where is None:  # a "fail" verdict, as expected
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "fail"
+    else:  # exactly the one exit-2 line
+        assert code == 2 and err.count("\n") == 1 and f"{where}: " in err
 
 
 def test_construct_and_inspect_validate_their_scenario(capsys):

@@ -1,8 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
+import qchar.elimination as elimination
 from qchar.elimination import (
     EliminationProblem,
+    EliminationStep,
+    EliminationTrace,
     run_heyde_chain,
     run_pexider_chain,
     substitute_and_subtract,
@@ -167,3 +172,137 @@ def test_group_heyde_nan_term_fails_the_premise():
     with pytest.raises(PremiseError):
         run_heyde_chain(GroupFunction(g, psi1), GroupFunction(g, np.full(9, -1.1)),
                         Automorphism.multiplication(g, 4), r_degree=0)
+
+
+# -- blocked group sweep against the per-shift loop --------------------------------
+
+
+def _ref_diff(dom, f, *shift):
+    """One difference the unbatched way: slices on a window, an ix_ gather on a group."""
+    if isinstance(dom, elimination._GroupDomain):
+        return f[np.ix_(*(dom.add[:, x] for x in shift))] - f
+    r = (f.shape[0] - 1) // 2 - max(abs(x) for x in shift)
+    off = (f.shape[0] - 1) // 2 - r
+    return f[tuple(slice(off + x, off + x + 2 * r + 1) for x in shift)] - f[
+        tuple(slice(off, off + 2 * r + 1) for _ in shift)]
+
+
+def _ref_run_chain(mode, dom, terms, P, Q, R, l, final_tol):
+    """The chain driver with its sweep run one shift at a time."""
+    peak, within = elimination.peak, elimination.within
+    final_tol = dom.final_tol if final_tol is None else final_tol
+    n = len(terms)
+    u, v = dom.points[:, None], dom.points[None, :]
+    total = sum(elimination._at(dom, psi, a, c, u, v) for psi, a, c in terms)
+    remainder = total - elimination._at(dom, P, dom.one, dom.zero, u, v)
+    remainder = remainder - elimination._at(dom, Q, dom.zero, dom.one, u, v)
+    R = remainder if R is None else R
+    premise_residual = peak(remainder - R)
+    if not within(premise_residual, elimination.PREMISE_TOL):
+        raise PremiseError(f"identity residual {premise_residual:.3e} exceeds "
+                           f"{elimination.PREMISE_TOL}", residual=premise_residual)
+    r_cert = elimination.min_degree(dom.function(R, l), n_max=l)
+    if r_cert is None:
+        raise PremiseError(f"cross term fails the degree-{l} polynomial test")
+    order = l + n + 2
+    trace = EliminationTrace(mode=mode, term_count=n, declared_degree=l, certified_order=order,
+                             premise_residual=premise_residual, cross_degree=r_cert.degree)
+    names = [(f"term{j}", f"cancel-term-{j}") for j in range(n, 0, -1)] + [("q", "cancel-v-part")]
+    parts = terms[::-1] + [(Q, dom.zero, dom.one)]
+    cancel = [dom.cancel_shifts(a, c) for _, a, c in parts]
+    collapse_shifts = dom.cancel_shifts(dom.one, dom.one)
+    require = elimination._require
+    for h, label in dom.shifts:
+        live = [psi for psi, _, _ in parts]
+        p, r, steps = P, R, []
+        for i, (name, step) in enumerate(names):
+            s, t = h, int(cancel[i][h])
+            for j in range(i, len(parts)):
+                _, a, c = parts[j]
+                live[j] = _ref_diff(dom, live[j], int(dom.lin(a, c, s, t)))
+            p = _ref_diff(dom, p, s)
+            r = _ref_diff(dom, r, s, t)
+            after = peak(live[i])
+            require(after, final_tol, f"step {step} failed to cancel {name}")
+            steps.append(EliminationStep(label=step, shift=(s, t), cancelled=name, max_after=after))
+        for _ in range(l + 1):
+            p = _ref_diff(dom, p, h)
+            r = _ref_diff(dom, r, h, int(collapse_shifts[h]))
+        annihil, collapse, direct = peak(r), peak(dom.u_range(p, r)), peak(p)
+        if not trace.steps:
+            trace.steps = steps + [EliminationStep(
+                label="annihilate-cross", shift=(h, int(collapse_shifts[h])), cancelled="r",
+                max_after=annihil)]
+        trace.sweep.append({"shift": label, "annihilation": annihil, "collapse": collapse,
+                            "direct": direct})
+        require(annihil, final_tol, f"cross-term annihilation failed at shift {label}")
+        require(peak([collapse, direct]), final_tol,
+                f"target difference of order {order} fails to vanish at shift {label}")
+    trace.annihilation_residual = peak([e["annihilation"] for e in trace.sweep])
+    trace.collapse_residual = peak([e["collapse"] for e in trace.sweep])
+    trace.direct_residual = peak([e["direct"] for e in trace.sweep])
+    trace.degree_bound = max(n, l)
+    tol = None if dom.poly_tol is None else max(final_tol, dom.poly_tol)
+    cert = elimination.min_degree(dom.function(P, l), n_max=trace.degree_bound, tol=tol)
+    trace.p_degree = cert.degree if cert else None
+    trace.degree_bound_ok = cert is not None
+    return trace
+
+
+def _outcome(run):
+    try:
+        return json.dumps(run().to_dict(), sort_keys=True)
+    except PremiseError as exc:
+        return (str(exc), np.float64(exc.residual).tobytes() if exc.residual is not None else None)
+
+
+def _first_coordinate_chain(orders, multipliers, noise, rng):
+    """Terms that vary (by ``noise``) only with the first coordinate: every
+    difference along a shift whose first coordinate is 0 vanishes, so a
+    small final_tol first fails at the first shift that moves it."""
+    g = FiniteAbelianGroup(orders)
+    first = np.asarray([g.coords(x)[0] for x in range(g.order)])
+    terms = [(GroupFunction(g, 0.3 * (j + 1) + noise * rng.standard_normal(orders[0])[first]),
+              Automorphism.multiplication(g, m)) for j, m in enumerate(multipliers)]
+    return EliminationProblem(terms=terms, r_degree=0)
+
+
+def _oracle_chains():
+    rng = np.random.default_rng(12)
+    chains = []
+    for orders, ms in [((7,), (1, 3)), ((11,), (1, 2, 5)), ((2, 8), (1, 3)), ((4, 4), (1, 3, 5)),
+                       ((3, 3, 3), (1, 2))]:
+        problem = _first_coordinate_chain(orders, ms, 0.0, rng)
+        chains.append(lambda p=problem: run_pexider_chain(p))
+        noisy = _first_coordinate_chain(orders, ms, 1e-12, rng)
+        for tol in (None, 1e-15):
+            chains.append(lambda p=noisy, t=tol: run_pexider_chain(p, final_tol=t))
+    for order, m in [(5, 2), (13, 4), (9, 4)]:
+        g = FiniteAbelianGroup((order,))
+        psi1 = GroupFunction(g, 0.4 + 1e-12 * rng.standard_normal(order))
+        psi2 = GroupFunction(g, np.full(order, -1.1))
+        for tol in (None, 1e-15):
+            chains.append(lambda a=psi1, b=psi2, mm=m, gg=g, t=tol: run_heyde_chain(
+                a, b, Automorphism.multiplication(gg, mm), r_degree=0, final_tol=t))
+    chains.append(lambda: run_pexider_chain(window_pexider_problem()))
+    chains.append(lambda: run_heyde_chain(tabulate(112, 1, lambda x: float(x * x)),
+                                          tabulate(112, 1, lambda x: float(2 * x * x)), 1,
+                                          r_degree=2))
+    return chains
+
+
+@pytest.mark.parametrize("block_entries", [1, 3 * 49 + 1, 5 * 256, elimination.BLOCK_ENTRIES])
+def test_blocked_sweep_matches_the_per_shift_loop(monkeypatch, block_entries):
+    # one shift per block, then block sizes that leave a partial last block
+    outcomes = []
+    for run in _oracle_chains():
+        monkeypatch.setattr(elimination, "_run_chain", _ref_run_chain)
+        want = _outcome(run)
+        monkeypatch.undo()
+        monkeypatch.setattr(elimination, "BLOCK_ENTRIES", block_entries)
+        assert _outcome(run) == want
+        outcomes.append(want)
+    # the noisy chains under final_tol 1e-15 fail after their first shift
+    failures = [o for o in outcomes if isinstance(o, tuple)]
+    assert failures and all("at shift" in msg for msg, _ in failures)
+    assert any("at shift [1, 0]" in msg for msg, _ in failures)

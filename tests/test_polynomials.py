@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -272,3 +273,130 @@ def test_all_infinite_window_gets_no_degree():
     with np.errstate(invalid="ignore"):  # inf - inf
         assert min_degree(f) is None
         assert not is_polynomial(f, 0)
+
+
+# -- blocked certificates against the per-shift loop ------------------------------
+
+
+def _ref_delta(vals, f, h):
+    """One forward difference the unbatched way: a gather on a group, slices on a window."""
+    if isinstance(f, GroupFunction):
+        g = f.group
+        return vals[polynomials._add(g, np.arange(g.order), g.as_index(h))] - vals
+    N = (vals.shape[0] - 1) // 2
+    r = N - max(abs(c) for c in h)
+    base = tuple(slice(N - r, N + r + 1) for _ in h)
+    moved = tuple(slice(N - r + c, N + r + 1 + c) for c in h)
+    return vals[moved] - vals[base]
+
+
+def _ref_shifts(f, n):
+    if isinstance(f, GroupFunction):
+        return [f.group.coords(h) for h in range(1, f.group.order)]
+    reach = f.window.radius // (n + 1)
+    return [h for h in itertools.product(range(-reach, reach + 1), repeat=f.window.dim) if any(h)]
+
+
+def _ref_peaks(f, n):
+    """Per-shift peaks of the (n+1)-fold difference, one shift at a time."""
+    out = []
+    for h in _ref_shifts(f, n):
+        d = np.asarray(f.values)
+        for _ in range(n + 1):
+            d = _ref_delta(d, f, h)
+        out.append(polynomials.peak(d))
+    return out
+
+
+def _ref_residual(f, n, tol=None):
+    if n == 0 and isinstance(f, GroupFunction):
+        vals = f.values
+        if vals.dtype.kind == "f" and np.isfinite(vals).all():
+            return float(abs(vals.max() - vals.min()))
+    peaks = _ref_peaks(f, n)
+    if tol is not None:
+        failing = [p for p in peaks if not polynomials.within(p, tol)]
+        if failing:
+            return failing[0]
+    return polynomials.peak(peaks)
+
+
+def _same_bits(a, b):
+    return _same_float(a, b) or (np.isnan(a) and np.isnan(b))
+
+
+def _oracle_cases():
+    rng = make_rng(31)
+    cases = []
+    for m, N in [(1, 2), (1, 9), (1, 40), (2, 3), (2, 8)]:
+        x = np.indices((2 * N + 1,) * m) - N
+        for degree in range(4):
+            vals = sum(float(rng.integers(-3, 4)) * x[0] ** k for k in range(degree + 1))
+            vals = np.asarray(vals + float(rng.integers(-2, 3)) * x[-1] * x[0], dtype=float)
+            cases.append(WindowFunction(IntegerWindow(N, m), vals))
+        noisy = vals + 1e-9 * rng.standard_normal(vals.shape)
+        cases.append(WindowFunction(IntegerWindow(N, m), noisy))
+        cases.append(WindowFunction(IntegerWindow(N, m), rng.standard_normal(vals.shape)
+                                    + 1j * rng.standard_normal(vals.shape)))
+        for bad in (np.nan, np.inf, -np.inf):
+            hit = vals.copy()
+            hit.flat[int(rng.integers(hit.size))] = bad
+            cases.append(WindowFunction(IntegerWindow(N, m), hit))
+    for orders in [(1,), (5,), (2, 6), (7, 7), (2, 2, 4), (3, 9)]:
+        g = FiniteAbelianGroup(orders)
+        base = [rng.standard_normal(g.order), np.full(g.order, 0.5),
+                0.5 + 1e-11 * rng.standard_normal(g.order),
+                rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)]
+        for bad in (np.nan, np.inf):
+            hit = rng.standard_normal(g.order)
+            hit[int(rng.integers(g.order))] = bad
+            base.append(hit)
+        cases.extend(GroupFunction(g, v) for v in base)
+    return cases
+
+
+@pytest.fixture(scope="module")
+def oracle():
+    """Each case with its top degree and the per-shift loop's residuals (n, tol) -> r."""
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for f in _oracle_cases():
+            top = 3 if isinstance(f, GroupFunction) else min(4, f.window.radius - 2)
+            out.append((f, top, {(n, tol): _ref_residual(f, n, tol)
+                                 for n in range(top + 1) for tol in (None, 1e-8, 1e-12)}))
+    return out
+
+
+@pytest.mark.parametrize("block_entries", [1, 2 * 81 + 5, 7 * 121, polynomials.BLOCK_ENTRIES])
+def test_blocked_residuals_match_the_per_shift_loop(monkeypatch, oracle, block_entries):
+    # one shift per block, then block sizes that leave a partial last block
+    monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", block_entries)
+    for f, top, ref in oracle:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for (n, tol), want in ref.items():
+                assert _same_bits(polynomials._poly_residual(f, n, tol), want), (f, n, tol)
+                if tol is not None:
+                    assert is_polynomial(f, n, tol) == polynomials.within(ref[n, None], tol)
+            cert = min_degree(f, n_max=top)
+        tol = GROUP_POLY_TOL if isinstance(f, GroupFunction) else WINDOW_POLY_TOL
+        passing = [n for n in range(top + 1) if polynomials.within(ref[n, None], tol)]
+        if not passing:
+            assert cert is None, f
+        else:
+            assert cert.degree == passing[0]
+            assert _same_bits(cert.residual, ref[passing[0], None])
+
+
+def test_failing_degree_stops_at_its_first_failing_shift(monkeypatch):
+    f = tabulate(30, 1, lambda x: float(x ** 3))
+    seen = []
+    real = polynomials.difference
+
+    def counting(values, move):
+        seen.append(np.shape(move))
+        return real(values, move)
+
+    monkeypatch.setattr(polynomials, "difference", counting)
+    assert polynomials._poly_residual(f, 1, WINDOW_POLY_TOL) > WINDOW_POLY_TOL
+    # one block of one shift, differenced twice
+    assert [s[0] for s in seen] == [1, 1]

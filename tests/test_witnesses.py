@@ -98,3 +98,32 @@ def test_witness_evaluate_matches_samples():
     w = extract_q_witness(sj)
     assert w.evaluate((1, 1)) == pytest.approx(3.0, abs=1e-8)
     assert w.evaluate((2, -1)) == pytest.approx(-6.0, abs=1e-8)
+
+
+# -- non-finite witnesses never validate --------------------------------------------
+
+
+def test_validate_q_rejects_a_nan_origin_on_group_and_window():
+    from qchar.polynomials import IntegerWindow, WindowFunction
+    from qchar.witnesses import _validate_q
+
+    g = FiniteAbelianGroup((5, 5))
+    q = np.zeros(25)
+    q[0] = np.nan
+    with pytest.raises(ValueError, match="vanish at zero"):
+        _validate_q(GroupFunction(g, q))
+    w = np.zeros((9, 9))
+    w[4, 4] = np.nan
+    with pytest.raises(ValueError, match="vanish at zero"):
+        _validate_q(WindowFunction(IntegerWindow(4, 2), w))
+
+
+def test_validate_q_rejects_nan_away_from_the_origin_on_a_group():
+    from qchar.witnesses import _validate_q
+
+    g = FiniteAbelianGroup((5, 5))
+    q = np.full(25, np.nan)
+    q[0] = 0.0
+    with pytest.raises(ValueError, match="identically zero"):
+        _validate_q(GroupFunction(g, q))
+    _validate_q(GroupFunction(g, np.zeros(25)))
