@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .circle import GaussianSpec, gaussian_check
+from .circle import DENSITY_TOL, GaussianSpec, _grid_density, gaussian_check
 from .elimination import EliminationProblem, EliminationTrace, run_heyde_chain, run_pexider_chain
 from .errors import (
     FactorizationError,
@@ -70,6 +70,7 @@ __all__ = [
 
 CHECK_TOL = 1e-9
 VANISH_TOL = 1e-9
+_DOUBLING_ITERATIONS = 3
 
 
 def _square_group(group: FiniteAbelianGroup) -> FiniteAbelianGroup:
@@ -466,7 +467,7 @@ def kb_equation_residual(inst: KBInstance) -> float:
     return float(np.abs(lhs - rhs).max())
 
 
-def kb_doubling_check(inst: KBInstance, iterations: int = 3) -> dict:
+def kb_doubling_check(inst: KBInstance) -> dict:
     """Residuals of the doubling identities and the iterated modulus law."""
     group = inst.group
     n = group.order
@@ -486,7 +487,7 @@ def kb_doubling_check(inst: KBInstance, iterations: int = 3) -> dict:
     base = np.abs(f1 * f2)
     iterated = []
     arg = np.arange(n, dtype=np.int64)
-    for m in range(1, iterations + 1):
+    for m in range(1, _DOUBLING_ITERATIONS + 1):
         arg = two[arg]
         target = base ** (2 ** (2 * m - 1))
         worst = max(float(np.abs(np.abs(f1[arg]) - target).max()),
@@ -572,14 +573,6 @@ class CramerReport:
                 "gamma": dict(self.gamma), "verdicts": list(self.verdicts)}
 
 
-def _window_density_min(wf: WindowFunction, grid: int = 4096) -> float:
-    N = wf.window.radius
-    t = 2.0 * np.pi * np.arange(grid) / grid
-    n = np.arange(-N, N + 1)
-    vals = (np.exp(1j * np.outer(t, n)) @ np.asarray(wf.values, dtype=np.complex128)).real
-    return float(vals.min())
-
-
 def _split_window_arg(obj):
     if isinstance(obj, tuple):
         return obj[0], obj[1]
@@ -649,8 +642,8 @@ def cramer_check(gamma, factor1, factor2, q=None, tol: float = CHECK_TOL) -> Cra
     for j, (fv, _) in enumerate(f_args):
         if not isinstance(fv, WindowFunction) or fv.window != g_vals.window:
             raise GroupMismatchError("factor windows must match the target window")
-        dmin = _window_density_min(fv)
-        if not within(-dmin, 1e-9):
+        dmin = float(_grid_density(fv.values).min())
+        if not within(-dmin, DENSITY_TOL):
             raise HypothesisError(
                 f"factor {j} fails positive-definiteness: density minimum {dmin:.3e}",
                 residual=dmin,

@@ -153,11 +153,6 @@ class CircleDistribution:
             return 0.0 + 0.0j
         return complex(self.coeffs[n + self.truncation])
 
-    def log_coeff(self, n: int) -> complex:
-        if self.log_coeffs is None or abs(n) > self.truncation:
-            raise UndefinedLogError(f"no exact log for coefficient {n}")
-        return complex(self.log_coeffs[n + self.truncation])
-
     def cf_window(self, radius: int) -> WindowFunction:
         if radius > self.truncation:
             raise ValueError(f"radius {radius} beyond truncation {self.truncation}")
@@ -178,10 +173,20 @@ def density_grid(dist: CircleDistribution, grid: int = DENSITY_GRID):
     N = dist.truncation
     if grid < 4 * max(N, 1):
         raise ValueError(f"grid {grid} must be at least 4 * truncation = {4 * N}")
-    t = 2.0 * np.pi * np.arange(grid) / grid
-    n = np.arange(-N, N + 1)
-    dens = (np.exp(-1j * np.outer(t, n)) @ dist.coeffs).real
-    return t, dens
+    return 2.0 * np.pi * np.arange(grid) / grid, _grid_density(dist.coeffs, grid)
+
+
+def _grid_density(coeffs, grid: int = DENSITY_GRID) -> np.ndarray:
+    """Real part of sum_n c_n exp(-2 pi i k n / grid) for k < grid, by one FFT.
+
+    ``coeffs`` holds c_n for |n| <= N, centred on index N.  Each c_n lands
+    at index n mod grid, which is exact at the grid points, so any N works.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.complex128)
+    N = len(coeffs) // 2
+    buf = np.zeros(grid, dtype=np.complex128)
+    np.add.at(buf, np.arange(-N, N + 1) % grid, coeffs)
+    return np.fft.fft(buf).real
 
 
 def exp_poly_distribution(phi: EvenPolynomial, min_truncation: int | None = None) -> CircleDistribution:
@@ -213,7 +218,8 @@ def exp_poly_distribution(phi: EvenPolynomial, min_truncation: int | None = None
     coeffs = np.exp(logs.real)
     return CircleDistribution(
         truncation=N, coeffs=coeffs, tail_bound=tail, log_coeffs=logs,
-        provenance={"kind": "exp-poly", "even_coeffs": dict(phi.coeffs), "sum": total},
+        provenance={"kind": "exp-poly", "even_coeffs": dict(phi.coeffs),
+                    "gate": (total, tail_stop, n_stop)},
     )
 
 

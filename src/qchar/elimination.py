@@ -258,9 +258,9 @@ class _WindowDomain:
     one, zero = 1, 0
     block = 1  # each shift shrinks the window by its own size
 
-    def __init__(self, terms, R, l: int, shift_set):
+    def __init__(self, terms, R, l: int):
         base = math.lcm(*(abs(c) for *_, c in terms))
-        self.shifts = [(base * s, base * s) for s in shift_set]
+        self.shifts = [(base * s, base * s) for s in WINDOW_SHIFT_SET]
         max_h = max(abs(h) for h, _ in self.shifts)
         max_shift = max(max(abs(h), abs(k)) for _, a, c in terms
                         for h, k in self.cancel_shifts(a, c).items())
@@ -420,8 +420,8 @@ def _run_chain(mode, dom, terms, P, Q, R, l, final_tol):
     return trace
 
 
-def run_pexider_chain(problem: EliminationProblem, final_tol: float | None = None,
-                      shift_set=WINDOW_SHIFT_SET) -> EliminationTrace:
+def run_pexider_chain(problem: EliminationProblem,
+                      final_tol: float | None = None) -> EliminationTrace:
     """Eliminate the distinct-coefficient identity and certify P.
 
     Certifies that the (l + n + 2)-fold repeated difference of P vanishes
@@ -437,7 +437,7 @@ def run_pexider_chain(problem: EliminationProblem, final_tol: float | None = Non
         Q = sum(psi[c] - psi[0] for psi, _, c in terms)
     else:
         terms = [(_floats(p), 1, int(b)) for p, b in problem.terms]
-        dom = _WindowDomain(terms, problem.R, l, shift_set)
+        dom = _WindowDomain(terms, problem.R, l)
         radius = min(_radius(psi) for psi, _, _ in terms) // max(abs(c) for _, _, c in terms)
         P = Q = np.zeros(2 * radius + 1)
         y = np.arange(-radius, radius + 1)
@@ -450,8 +450,7 @@ def run_pexider_chain(problem: EliminationProblem, final_tol: float | None = Non
 
 
 def run_heyde_chain(psi1, psi2, b, R=None, r_degree: int = 0,
-                    final_tol: float | None = None,
-                    shift_set=WINDOW_SHIFT_SET) -> EliminationTrace:
+                    final_tol: float | None = None) -> EliminationTrace:
     """Two-term chain for the conditional-symmetry identity.
 
     The identity is psi1((I+b)u + 2v) + psi2(2bu + (I+b)v) = P(u) + Q(v) +
@@ -484,7 +483,7 @@ def run_heyde_chain(psi1, psi2, b, R=None, r_degree: int = 0,
             raise KernelConditionError(f"scalar coefficient b={b} breaks invertibility",
                                        kernel_element=b)
         terms = [(_floats(psi1), 1 + b, 2), (_floats(psi2), 2 * b, 1 + b)]
-        dom = _WindowDomain(terms, R, l, shift_set)
+        dom = _WindowDomain(terms, R, l)
     (v1, a1, c1), (v2, a2, c2) = terms
     y, zero = dom.points, dom.zero
     P = _at(dom, v1, a1, zero, y, y) + _at(dom, v2, a2, zero, y, y)

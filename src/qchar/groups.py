@@ -84,10 +84,6 @@ class FiniteAbelianGroup:
         """lcm of the factor orders; the common phase denominator L."""
         return math.lcm(*self.orders) if self.orders else 1
 
-    @property
-    def is_trivial(self) -> bool:
-        return self.order == 1
-
     def index(self, coords: Sequence[int]) -> int:
         """Flat row-major index of an element given by coordinates."""
         coords = self.reduce_coords(coords)
@@ -376,15 +372,6 @@ class GroupHom:
 
     def __call__(self, x):
         return self.target.coords(int(self.table[self.source.as_index(x)]))
-
-    def apply_index(self, i: int) -> int:
-        return int(self.table[i])
-
-    def compose(self, other: "GroupHom") -> "GroupHom":
-        """self after other."""
-        if other.target != self.source:
-            raise GroupMismatchError("composition domains do not match")
-        return type(self)(other.source, self.target, self.table[other.table])
 
     def kernel(self) -> Subgroup:
         return Subgroup(self.source, tuple(int(i) for i in np.where(self.table == 0)[0]))

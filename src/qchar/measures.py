@@ -110,9 +110,6 @@ class CharacteristicFunction:
         masses = kernels.dft(self.group, self.values, sign=-1).real / self.group.order
         return float(masses.min()) >= -tol
 
-    def nonvanishing(self, tol: float = _MASS_TOL) -> bool:
-        return float(np.abs(self.values).min()) > tol
-
 
 def char_fn(dist: Distribution) -> CharacteristicFunction:
     """Fourier transform of the distribution."""
@@ -124,11 +121,12 @@ def inverse_char_fn(cf: CharacteristicFunction, tol: float = _PD_TOL) -> Distrib
     """Inverse transform; rejects spectra without a non-negative preimage.
 
     Masses within float noise below zero are clipped to keep the
-    Distribution validator happy; genuine negativity past ``tol`` raises.
+    Distribution validator happy; genuine negativity past ``tol``, or a
+    mass that is not finite, raises.
     """
     masses = kernels.dft(cf.group, cf.values, sign=-1).real / cf.group.order
     worst = float(masses.min())
-    if worst < -tol:
+    if not (worst >= -tol):
         i = int(masses.argmin())
         raise NotPositiveDefiniteError(
             f"no non-negative preimage: mass {worst:.3e} at {cf.group.coords(i)}",

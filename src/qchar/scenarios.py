@@ -32,7 +32,6 @@ from .circle import (
     TRUNCATION_CAP,
     EvenPolynomial,
     exp_poly_distribution,
-    gate_sum,
     gaussian_distribution,
     sum_difference_joint,
 )
@@ -591,7 +590,7 @@ def _run_circle_construct(payload: dict, tol: float) -> tuple[str, dict]:
             "reason": str(exc),
             "gate_sum": _opt(exc.computed_sum),
         }
-    total, tail, stop = gate_sum(phi)
+    total, tail, stop = dist.provenance["gate"]
     details = {
         "gate_sum": total,
         "gate_tail_bound": tail,

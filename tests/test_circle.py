@@ -3,7 +3,9 @@ import time
 import numpy as np
 import pytest
 
+from qchar import circle, scenarios
 from qchar.circle import (
+    DENSITY_GRID,
     CircleDistribution,
     EvenPolynomial,
     density_grid,
@@ -14,7 +16,9 @@ from qchar.circle import (
     sum_difference_joint,
     sum_difference_q,
 )
-from qchar.errors import ConstructionRejectedError
+from qchar.characterizers import cramer_check
+from qchar.errors import ConstructionRejectedError, HypothesisError
+from qchar.polynomials import WindowFunction
 from qchar.witnesses import extract_q_witness
 
 
@@ -59,6 +63,70 @@ def test_density_positive_for_quartic():
     _, dens = density_grid(d)
     assert float(np.min(dens)) == pytest.approx(0.2642413427274648, abs=1e-9)
     assert float(np.min(dens)) > 0.0
+
+
+def _direct_density(coeffs, sign=-1):
+    """Real part of sum_n c_n exp(sign 2 pi i ((k n) mod grid) / grid), row block by row block.
+
+    The phase k n is reduced in integers before it is scaled, so the
+    reference carries no rounding from large float phases.
+    """
+    N = len(coeffs) // 2
+    n = np.arange(-N, N + 1)
+    roots = np.exp(sign * 2j * np.pi * np.arange(DENSITY_GRID) / DENSITY_GRID)
+    return np.concatenate([(roots[np.multiply.outer(k, n) % DENSITY_GRID] @ coeffs).real
+                           for k in np.array_split(np.arange(DENSITY_GRID), 16)])
+
+
+@pytest.mark.parametrize("N", [1, 12, 256, 1024])
+def test_grid_density_matches_the_direct_sum(N):
+    rng = np.random.Generator(np.random.Philox(N))
+    coeffs = rng.standard_normal(2 * N + 1) + 1j * rng.standard_normal(2 * N + 1)
+    dev = np.abs(circle._grid_density(coeffs) - _direct_density(coeffs)).max()
+    assert dev <= 1e-12 * np.abs(coeffs).sum()
+
+
+def test_grid_density_minimum_is_that_of_the_plus_sign_sum():
+    # cramer_check screened exp(+i t n) sums; the grid is symmetric, so the minimum is the same
+    rng = np.random.Generator(np.random.Philox(3))
+    coeffs = rng.standard_normal(25) + 1j * rng.standard_normal(25)
+    got = circle._grid_density(coeffs).min()
+    assert got == pytest.approx(_direct_density(coeffs, sign=+1).min(), abs=1e-12 * np.abs(coeffs).sum())
+
+
+def test_density_grid_and_cramer_screen_share_one_evaluator():
+    d = exp_poly_distribution(QUARTIC, min_truncation=12)
+    _, dens = density_grid(d)
+    assert np.array_equal(dens, circle._grid_density(d.coeffs))
+    good = d.cf_window(3)
+    vals = np.asarray(good.values).copy()
+    vals[[2, 4]] += 0.9
+    bad = WindowFunction(good.window, vals)
+    with pytest.raises(HypothesisError, match="density minimum") as err:
+        cramer_check(bad, bad, good)
+    assert err.value.residual == circle._grid_density(vals).min()
+
+
+def test_density_grid_keeps_the_oversampling_check():
+    d = exp_poly_distribution(QUARTIC, min_truncation=12)
+    with pytest.raises(ValueError, match="must be at least 4 \\* truncation = 48"):
+        density_grid(d, 47)
+
+
+def test_run_construct_sums_the_gate_once(monkeypatch):
+    calls = []
+
+    def counting(phi):
+        calls.append(phi)
+        return gate_sum(phi)
+
+    for module in (circle, scenarios):
+        monkeypatch.setattr(module, "gate_sum", counting, raising=False)
+    doc = scenarios.run_construct({"even_coeffs": {"4": 1.0}})
+    assert len(calls) == 1
+    total, tail, stop = gate_sum(QUARTIC)
+    assert (doc["details"]["gate_sum"], doc["details"]["gate_tail_bound"],
+            doc["details"]["gate_terms"]) == (total, tail, stop)
 
 
 def test_quartic_pair_witness_coefficients():

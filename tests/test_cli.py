@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 from jsonschema import Draft202012Validator
 
+from qchar.circle import TRUNCATION_CAP
 from qchar.cli import canonical_json, main
 from qchar.elimination import SQUARE_RADIUS_CAP
 from qchar.scenarios import (
@@ -286,6 +288,17 @@ def test_circle_sigma_takes_rational_strings(tmp_path, capsys):
     code, out, _ = _run_edited(tmp_path, capsys, scn)
     assert code == 0
     assert out == want
+
+
+def test_circle_cramer_at_the_radius_cap_is_bounded(tmp_path, capsys):
+    # the largest schema-valid circle window; quadratic_check's pairs are the rest
+    scn = _full_surface("circle-gaussian-split")
+    scn["payload"].update(radius=TRUNCATION_CAP, min_truncation=TRUNCATION_CAP)
+    start = time.perf_counter()
+    code, out, _ = _run_edited(tmp_path, capsys, scn)
+    assert time.perf_counter() - start <= 5.0
+    assert code == 0
+    assert json.loads(out)["verdict"] == "pass"
 
 
 @pytest.mark.parametrize("radius, why", [

@@ -9,9 +9,10 @@ changed bytes.
 Regenerate with ``PYTHONPATH=src python tests/test_golden_reports.py``.
 """
 
+import contextlib
 import hashlib
+import io
 import json
-import sys
 from pathlib import Path
 
 import pytest
@@ -24,22 +25,23 @@ GOLDEN = HERE / "golden" / "reports.json"
 SWEEP = ["sweep", "independence-collapse", "--seed", "7", "--count", "50", "--max-order", "12"]
 
 
-def _run(args, capsys) -> tuple[int, str, str]:
-    code = main(args)
-    out = capsys.readouterr()
-    return code, out.out, out.err
+def _run(args) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    return code, out.getvalue(), err.getvalue()
 
 
-def _file_record(path: Path, capsys) -> dict:
-    code, out, err = _run(["run", str(path)], capsys)
+def _file_record(path: Path) -> dict:
+    code, out, err = _run(["run", str(path)])
     record = {"exit": code, "stdout": out}
     if err:
         record["stderr"] = err.replace(str(path), path.name)
     return record
 
 
-def _sweep_digest(capsys) -> str:
-    code, out, _ = _run(SWEEP, capsys)
+def _sweep_digest() -> str:
+    code, out, _ = _run(SWEEP)
     assert code == 0
     return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
@@ -48,41 +50,22 @@ def _golden() -> dict:
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
+def record() -> dict:
+    return {"run": {p.name: _file_record(p) for p in sorted(DATA.glob("*.json"))},
+            "sweep_sha256": _sweep_digest()}
+
+
 def test_golden_covers_every_data_file():
     assert sorted(_golden()["run"]) == sorted(p.name for p in DATA.glob("*.json"))
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in DATA.glob("*.json")))
-def test_run_report_bytes_match_golden(name, capsys):
-    assert _file_record(DATA / name, capsys) == _golden()["run"][name]
+def test_run_report_bytes_match_golden(name):
+    assert _file_record(DATA / name) == _golden()["run"][name]
 
 
-def test_readme_sweep_digest_matches_golden(capsys):
-    assert _sweep_digest(capsys) == _golden()["sweep_sha256"]
-
-
-class _Capture:
-    """Enough of pytest's capsys to record the golden outside pytest."""
-
-    def readouterr(self):
-        out, err = sys.stdout.getvalue(), sys.stderr.getvalue()
-        sys.stdout.seek(0), sys.stdout.truncate()
-        sys.stderr.seek(0), sys.stderr.truncate()
-        return type("Out", (), {"out": out, "err": err})
-
-
-def record() -> dict:
-    import io
-
-    saved = sys.stdout, sys.stderr
-    sys.stdout, sys.stderr = io.StringIO(), io.StringIO()
-    try:
-        cap = _Capture()
-        runs = {p.name: _file_record(p, cap) for p in sorted(DATA.glob("*.json"))}
-        digest = _sweep_digest(cap)
-    finally:
-        sys.stdout, sys.stderr = saved
-    return {"run": runs, "sweep_sha256": digest}
+def test_readme_sweep_digest_matches_golden():
+    assert _sweep_digest() == _golden()["sweep_sha256"]
 
 
 if __name__ == "__main__":

@@ -65,6 +65,15 @@ def test_inverse_rejects_non_positive_definite():
         inverse_char_fn(cf)
 
 
+def test_inverse_names_a_non_finite_mass():
+    # the validator rejects NaN values, so build the spectrum past it
+    cf = object.__new__(CharacteristicFunction)
+    object.__setattr__(cf, "group", FiniteAbelianGroup((5,)))
+    object.__setattr__(cf, "values", np.full(5, np.nan, dtype=np.complex128))
+    with pytest.raises(NotPositiveDefiniteError, match=r"^no non-negative preimage: mass nan at \(0,\)$"):
+        inverse_char_fn(cf)
+
+
 def test_degenerate_transform_has_unit_modulus():
     g = FiniteAbelianGroup((5,))
     f = char_fn(degenerate(g, (2,))).values
