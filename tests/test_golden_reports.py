@@ -2,8 +2,8 @@
 
 ``golden/reports.json`` holds, for ``qchar run`` over each file in
 ``tests/data``, the exit code and stdout (and stderr where the run writes
-one, with the file's path cut to its name), plus the sha256 of the README
-sweep's stdout. A refactor that moves a reported float shows up here as
+one, with the file's path cut to its name), plus the sha256 of the stdout
+of the README sweep and of the same-size convolution sweep. A refactor that moves a reported float shows up here as
 changed bytes.
 
 Regenerate with ``PYTHONPATH=src python tests/test_golden_reports.py``.
@@ -23,6 +23,7 @@ HERE = Path(__file__).parent
 DATA = HERE / "data"
 GOLDEN = HERE / "golden" / "reports.json"
 SWEEP = ["sweep", "independence-collapse", "--seed", "7", "--count", "50", "--max-order", "12"]
+CONVOLUTION_SWEEP = ["sweep", "convolution", "--seed", "7", "--count", "50", "--max-order", "12"]
 
 
 def _run(args) -> tuple[int, str, str]:
@@ -40,8 +41,8 @@ def _file_record(path: Path) -> dict:
     return record
 
 
-def _sweep_digest() -> str:
-    code, out, _ = _run(SWEEP)
+def _sweep_digest(args=SWEEP) -> str:
+    code, out, _ = _run(args)
     assert code == 0
     return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
@@ -52,7 +53,8 @@ def _golden() -> dict:
 
 def record() -> dict:
     return {"run": {p.name: _file_record(p) for p in sorted(DATA.glob("*.json"))},
-            "sweep_sha256": _sweep_digest()}
+            "sweep_sha256": _sweep_digest(),
+            "convolution_sweep_sha256": _sweep_digest(CONVOLUTION_SWEEP)}
 
 
 def test_golden_covers_every_data_file():
@@ -66,6 +68,10 @@ def test_run_report_bytes_match_golden(name):
 
 def test_readme_sweep_digest_matches_golden():
     assert _sweep_digest() == _golden()["sweep_sha256"]
+
+
+def test_convolution_sweep_digest_matches_golden():
+    assert _sweep_digest(CONVOLUTION_SWEEP) == _golden()["convolution_sweep_sha256"]
 
 
 if __name__ == "__main__":
