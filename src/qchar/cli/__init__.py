@@ -13,6 +13,7 @@ import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
+from ..groups import ORDER_CAP
 from ..scenarios import (
     SWEEP_KINDS,
     ScenarioFormatError,
@@ -142,8 +143,33 @@ def _cmd_run(args) -> int:
     return _exit_code(reports)
 
 
+def _sweep_arities(args) -> tuple[int, ...]:
+    """The sweep's arities, after checking every argument before any draw."""
+    try:
+        arities = tuple(int(a) for a in args.arities.split(","))
+    except ValueError as exc:
+        raise ScenarioFormatError(f"--arities: {exc}") from exc
+    if min(arities) < 2:
+        raise ScenarioFormatError(f"--arities: {min(arities)} is below 2; "
+                                  "a one-factor joint is always a product")
+    if args.count < 0:
+        raise ScenarioFormatError(f"--count: {args.count} is negative")
+    if args.seed < 0:
+        raise ScenarioFormatError(f"--seed: {args.seed} is negative")
+    group, flags = f"Z_{args.max_order}", f"--max-order {args.max_order}"
+    power = max(arities) if args.kind == "independence-collapse" else 1
+    if power > 1:
+        group, flags = f"{group}^{power}", f"{flags} with --arities {args.arities}"
+    # 2 ** ORDER_CAP.bit_length() > ORDER_CAP already, so no huge power is formed
+    if args.max_order >= 2 and (power >= ORDER_CAP.bit_length()
+                                or args.max_order ** power > ORDER_CAP):
+        raise ScenarioFormatError(f"{flags}: the largest swept group {group} "
+                                  f"exceeds the order cap {ORDER_CAP}")
+    return arities
+
+
 def _cmd_sweep(args) -> int:
-    arities = tuple(int(a) for a in args.arities.split(","))
+    arities = _sweep_arities(args)
     report = run_sweep(args.kind, seed=args.seed, count=args.count,
                        max_order=args.max_order, arities=arities)
     _write(canonical_json(report), args.out)

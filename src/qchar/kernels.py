@@ -4,7 +4,8 @@ The pairing <x, y> = exp(2 pi i sum_j x_j y_j / n_j) factors over the cyclic
 axes, so on a vector stored row-major over ``group.orders`` the transform
 sum_x <x, y>^sign f(x) is a multidimensional DFT: numpy's unnormalized
 ``ifft`` along every axis for sign +1 and ``fft`` for sign -1.  Convolution
-multiplies ``rfft`` spectra.  Everything runs in O(|G| log |G|) per row and
+multiplies ``rfft`` spectra.  Both take stacks of rows, and a single vector
+is the one-row case.  Everything runs in O(|G| log |G|) per row and
 allocates nothing of size |G| x |G|; the trivial group is treated as Z_1.
 Exact integer pairing questions stay with ``groups.phase_matrix``.
 """
@@ -48,18 +49,18 @@ def dft(group: FiniteAbelianGroup, vec: np.ndarray, sign: int = 1) -> np.ndarray
 
 
 def convolve(group: FiniteAbelianGroup, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Additive convolution (p * q)[x] = sum_y p[y] q[x - y]."""
+    """Additive convolution (p * q)[x] = sum_y p[y] q[x - y], row by row when
+    p and q are (rows, |G|) stacks."""
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    n = group.order
-    if p.shape != (n,) or q.shape != (n,):
+    if p.shape != q.shape or p.ndim not in (1, 2) or p.shape[-1] != group.order:
         raise GroupMismatchError("operand length does not match group order")
     shape = group.orders or (1,)
     # rfft halves the last axis; the other axes take full complex transforms.
-    spec = np.fft.rfft(np.stack((p, q)).reshape((2,) + shape))
-    for axis in range(1, len(shape)):
+    spec = np.fft.rfft(np.stack((p, q)).reshape((2, -1) + shape))
+    for axis in range(2, len(shape) + 1):
         spec = np.fft.fft(spec, axis=axis)
     prod = spec[0] * spec[1]
-    for axis in range(len(shape) - 1):
+    for axis in range(1, len(shape)):
         prod = np.fft.ifft(prod, axis=axis)
-    return np.fft.irfft(prod, n=shape[-1]).reshape(n)
+    return np.fft.irfft(prod, n=shape[-1]).reshape(p.shape)

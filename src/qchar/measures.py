@@ -3,14 +3,15 @@
 The characteristic function of mu is f(y) = sum_x <x, y> mu(x) over the
 dual (identified with the group); transforms go through the kernels module.
 Validators test `not (residual <= tol)`, so NaN fails them as it fails
-``polynomials.within``; inline, the hot constructors pay for no extra call.
+``polynomials.within``.  They check stacks of rows, so a sweep checks a
+block of laws at once, and a constructor makes the one-row call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import lru_cache
 
 import numpy as np
 
@@ -68,15 +69,7 @@ class Distribution:
             raise GroupMismatchError(
                 f"probability vector length {probs.shape} != group order {self.group.order}"
             )
-        if not (probs.min(initial=0.0) >= -_MASS_TOL):
-            i = int(probs.argmin())
-            raise NotPositiveDefiniteError(
-                f"negative mass {probs[i]:.3e} at {self.group.coords(i)}",
-                worst_mass=float(probs[i]),
-                location=self.group.coords(i),
-            )
-        if not (abs(probs.sum() - 1.0) <= _MASS_TOL):
-            raise ValueError(f"total mass {probs.sum()!r} is not 1")
+        _check_masses(self.group, probs[None])
         object.__setattr__(self, "probs", probs)
 
     def mass(self, x) -> float:
@@ -97,18 +90,51 @@ class CharacteristicFunction:
         values = np.asarray(self.values, dtype=np.complex128)
         if values.shape != (self.group.order,):
             raise GroupMismatchError("value vector length does not match group order")
-        if not (abs(values[0] - 1.0) <= _CF_TOL):
-            raise ValueError(f"value at zero is {values[0]!r}, expected 1")
-        neg = _neg_table(self.group)
-        if not (np.abs(values[neg] - values.conj()).max(initial=0.0) <= _CF_TOL):
-            raise ValueError("Hermitian symmetry f(-y) = conj f(y) fails")
-        if not (np.abs(values).max(initial=0.0) <= 1.0 + _CF_TOL):
-            raise ValueError("characteristic function exceeds modulus 1")
+        _check_cf(self.group, values[None])
         object.__setattr__(self, "values", values)
 
     def is_positive_definite(self, tol: float = _PD_TOL) -> bool:
         masses = kernels.dft(self.group, self.values, sign=-1).real / self.group.order
         return float(masses.min()) >= -tol
+
+
+def _check_masses(group: FiniteAbelianGroup, rows: np.ndarray) -> None:
+    """Distribution's checks on each row of a (rows, |G|) stack; the first
+    failing row raises what its 1-d constructor raises."""
+    if (rows.min(initial=0.0) >= -_MASS_TOL
+            and abs(rows.sum(axis=1) - 1.0).max(initial=0.0) <= _MASS_TOL):
+        return
+    for probs in rows:
+        if not (probs.min(initial=0.0) >= -_MASS_TOL):
+            i = int(probs.argmin())
+            raise NotPositiveDefiniteError(f"negative mass {probs[i]:.3e} at {group.coords(i)}",
+                                           worst_mass=float(probs[i]), location=group.coords(i))
+        if not (abs(probs.sum() - 1.0) <= _MASS_TOL):
+            raise ValueError(f"total mass {probs.sum()!r} is not 1")
+
+
+def _check_cf(group: FiniteAbelianGroup, rows: np.ndarray) -> None:
+    """CharacteristicFunction's checks on each row of a (rows, |G|) stack; the
+    first failing row raises what its 1-d constructor raises."""
+    neg = _neg_table(group)
+    if (abs(rows[:, 0] - 1.0).max(initial=0.0) <= _CF_TOL
+            and abs(rows.take(neg, axis=1) - rows.conj()).max(initial=0.0) <= _CF_TOL
+            and abs(rows).max(initial=0.0) <= 1.0 + _CF_TOL):
+        return
+    for values in rows:
+        if not (abs(values[0] - 1.0) <= _CF_TOL):
+            raise ValueError(f"value at zero is {values[0]!r}, expected 1")
+        if not (np.abs(values[neg] - values.conj()).max(initial=0.0) <= _CF_TOL):
+            raise ValueError("Hermitian symmetry f(-y) = conj f(y) fails")
+        if not (np.abs(values).max(initial=0.0) <= 1.0 + _CF_TOL):
+            raise ValueError("characteristic function exceeds modulus 1")
+
+
+def _char_fn_rows(group: FiniteAbelianGroup, rows: np.ndarray) -> np.ndarray:
+    """The checked transform of each row of a (rows, |G|) stack of laws."""
+    values = kernels.dft_many(group, rows)
+    _check_cf(group, values)
+    return values
 
 
 def char_fn(dist: Distribution) -> CharacteristicFunction:
@@ -250,34 +276,49 @@ class JointDistribution:
             raise GroupMismatchError(
                 f"joint vector length {probs.shape} != product order {order}"
             )
-        Distribution(self.product_group, probs)  # reuse mass validation
+        _check_masses(self.product_group, probs[None])
         object.__setattr__(self, "probs", probs)
 
-    @cached_property
+    @property
     def product_group(self) -> FiniteAbelianGroup:
-        orders: tuple[int, ...] = ()
-        for g in self.groups:
-            orders = orders + g.orders
-        return FiniteAbelianGroup(orders)
+        return _product_group(self.groups)
 
     @property
     def arity(self) -> int:
         return len(self.groups)
 
     def marginal(self, i: int) -> Distribution:
-        shape = tuple(g.order for g in self.groups)
-        axes = tuple(j for j in range(self.arity) if j != i)
-        return Distribution(self.groups[i], self.probs.reshape(shape).sum(axis=axes))
+        return Distribution(self.groups[i], _marginal_rows(self.groups, self.probs[None], i)[0])
 
     def joint_cf(self) -> CharacteristicFunction:
         return char_fn(Distribution(self.product_group, self.probs))
 
     def marginal_cf_product(self) -> np.ndarray:
         """Flattened outer product of the marginal transforms."""
-        out = np.ones(1, dtype=np.complex128)
-        for i in range(self.arity):
-            out = np.multiply.outer(out, char_fn(self.marginal(i)).values).ravel()
-        return out
+        return _marginal_cf_product(self.groups, self.probs[None])[0]
+
+
+@lru_cache(maxsize=256)
+def _product_group(groups: tuple) -> FiniteAbelianGroup:
+    return FiniteAbelianGroup(tuple(n for g in groups for n in g.orders))
+
+
+def _marginal_rows(groups: tuple, rows: np.ndarray, i: int) -> np.ndarray:
+    """The i-th marginal of each row of a stack of joint laws on the product of ``groups``."""
+    cube = rows.reshape((len(rows),) + tuple(g.order for g in groups))
+    return cube.sum(axis=tuple(j + 1 for j in range(len(groups)) if j != i))
+
+
+def _marginal_cf_product(groups: tuple, rows: np.ndarray) -> np.ndarray:
+    """Flattened outer product of the marginal transforms of each row of a
+    stack of joint laws; every marginal and transform is checked."""
+    out = np.ones((len(rows), 1), dtype=np.complex128)
+    for i, group in enumerate(groups):
+        marginal = _marginal_rows(groups, rows, i)
+        _check_masses(group, marginal)
+        values = _char_fn_rows(group, marginal)
+        out = (out[:, :, None] * values[:, None, :]).reshape(len(rows), out.shape[1] * group.order)
+    return out
 
 
 def product_joint(dists: list[Distribution] | tuple[Distribution, ...]) -> JointDistribution:

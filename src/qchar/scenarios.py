@@ -18,6 +18,7 @@ import numpy as np
 from jsonschema import Draft202012Validator
 from jsonschema.exceptions import best_match
 
+from . import kernels
 from .characterizers import (
     HeydeInstance,
     KBInstance,
@@ -61,15 +62,17 @@ from .groups import (
 from .measures import (
     Distribution,
     JointDistribution,
+    _char_fn_rows,
+    _check_masses,
+    _product_group,
     char_fn,
-    convolve,
     degenerate,
     haar,
     product_joint,
-    random_distribution,
     shifted_haar,
 )
 from .polynomials import (
+    BLOCK_ENTRIES,
     DEGREE_CAP,
     GroupFunction,
     IntegerWindow,
@@ -78,7 +81,7 @@ from .polynomials import (
     poly_eval,
     within,
 )
-from .witnesses import QWitness, extract_q_witness
+from .witnesses import GROUP_Q_TOL, QWitness, _q_gaps, _zero_witness, extract_q_witness
 
 __all__ = [
     "SWEEP_KINDS",
@@ -668,63 +671,87 @@ def run_scenario(scenario: dict, profile: str = "default") -> dict:
 # ---- sweeps ---------------------------------------------------------------
 
 
-def _random_joint(group: FiniteAbelianGroup, arity: int,
-                  rng: np.random.Generator) -> JointDistribution:
-    probs = rng.random(group.order ** arity) + 1e-3
-    probs /= probs.sum()
-    return JointDistribution((group,) * arity, probs)
+def _chunks(count: int, entries: int):
+    """Consecutive ranges of case indices, each as long as keeps a chunk's
+    arrays within ``BLOCK_ENTRIES`` when a case has ``entries`` entries."""
+    step = max(BLOCK_ENTRIES // entries, 1)
+    return (range(a, min(a + step, count)) for a in range(0, count, step))
+
+
+def _collapse_failures(group: FiniteAbelianGroup, arity: int, cases: range,
+                       rng: np.random.Generator) -> list:
+    """Independence-collapse cases of one chunk: even cases are products of
+    random laws, odd ones random joints.  The draws are read in case order,
+    as one case at a time would read them."""
+    n, size = group.order, group.order ** arity
+    groups = (group,) * arity
+    is_product = np.arange(cases.start, cases.stop) % 2 == 0
+    widths = np.where(is_product, arity * n, size)
+    starts = np.cumsum(widths) - widths
+    draw = rng.random(int(widths.sum())) + 1e-3
+    factors = draw[starts[is_product, None] + np.arange(arity * n)].reshape(-1, arity, n)
+    factors /= factors.sum(axis=2, keepdims=True)
+    _check_masses(group, factors.reshape(-1, n))
+    rows = np.empty((len(cases), size))
+    prod = factors[:, 0]
+    for j in range(1, arity):
+        prod = (prod[:, :, None] * factors[:, j, None, :]).reshape(len(prod), n ** (j + 1))
+    rows[is_product] = prod
+    joints = draw[starts[~is_product, None] + np.arange(size)]
+    rows[~is_product] = joints / joints.sum(axis=1, keepdims=True)
+    _check_masses(_product_group(groups), rows)
+    gaps = _q_gaps(groups, rows)
+    found = gaps <= GROUP_Q_TOL
+    return [{"order": n, "arity": arity, "case": cases[r], "product": bool(is_product[r]),
+             "witness": _witness_dict(_zero_witness(_product_group(groups), float(gaps[r]))
+                                      if found[r] else None)}
+            for r in np.flatnonzero(found != is_product)]
+
+
+def _convolution_residuals(group: FiniteAbelianGroup, cases: range,
+                           rng: np.random.Generator) -> np.ndarray:
+    """max |transform of a * b - product of transforms| of each case's pair of random laws."""
+    n = group.order
+    laws = rng.random(2 * n * len(cases)).reshape(-1, 2, n) + 1e-3
+    laws /= laws.sum(axis=2, keepdims=True)
+    _check_masses(group, laws.reshape(-1, n))
+    a, b = laws[:, 0], laws[:, 1]
+    c = kernels.convolve(group, a, b)
+    _check_masses(group, c)
+    fa, fb, fc = (_char_fn_rows(group, x) for x in (a, b, c))
+    return np.abs(fc - fa * fb).max(axis=1)
 
 
 @np.errstate(over="ignore", invalid="ignore")
 def run_sweep(kind: str, seed: int, count: int, max_order: int = 12,
               arities=(2, 3)) -> dict:
-    """Randomized property sweep; deterministic for a fixed seed, silent on overflow."""
+    """Randomized property sweep; deterministic for a fixed seed, silent on overflow.
+
+    Each cyclic order (and arity) is one block of ``count`` cases, run in
+    checked chunks of at most ``BLOCK_ENTRIES`` entries an array; the report
+    is the one a loop over single cases gives.
+    """
     if kind not in SWEEP_KINDS:
         raise ScenarioFormatError(f"unknown sweep kind {kind!r}")
     rng = make_rng(seed)
-    cases = 0
-    failures = []
+    groups = [FiniteAbelianGroup((order,)) for order in range(2, max_order + 1)]
+    cases = max(count, 0) * len(groups)
+    failures, extra = [], {}
     if kind == "independence-collapse":
-        for order in range(2, max_order + 1):
-            group = FiniteAbelianGroup((order,))
+        cases *= len(arities)
+        for group in groups:
             for arity in arities:
-                for i in range(count):
-                    is_product = i % 2 == 0
-                    if is_product:
-                        joint = product_joint(
-                            [random_distribution(group, rng) for _ in range(arity)]
-                        )
-                    else:
-                        joint = _random_joint(group, arity, rng)
-                    witness = extract_q_witness(joint)
-                    cases += 1
-                    ok = (witness is not None) == is_product
-                    if ok and witness is not None:
-                        ok = float(np.abs(np.asarray(witness.q.values)).max(initial=0.0)) == 0.0
-                    if not ok:
-                        failures.append({"order": order, "arity": arity, "case": i,
-                                         "product": is_product,
-                                         "witness": _witness_dict(witness)})
-    else:  # convolution
+                for chunk in _chunks(count, group.order ** arity):
+                    failures += _collapse_failures(group, arity, chunk, rng)
+    else:
         worst = 0.0
-        for order in range(2, max_order + 1):
-            group = FiniteAbelianGroup((order,))
-            for i in range(count):
-                a = random_distribution(group, rng)
-                b = random_distribution(group, rng)
-                c = convolve(a, b)
-                lhs = np.asarray(char_fn(c).values)
-                rhs = np.asarray(char_fn(a).values) * np.asarray(char_fn(b).values)
-                resid = float(np.abs(lhs - rhs).max())
-                worst = max(worst, resid)
-                cases += 1
-                if resid > 1e-12:
-                    failures.append({"order": order, "case": i, "residual": resid})
-        return _sweep_report(kind, seed, count, cases, failures, {"worst_residual": worst})
-    return _sweep_report(kind, seed, count, cases, failures, {})
-
-
-def _sweep_report(kind, seed, count, cases, failures, extra) -> dict:
+        for group in groups:
+            for chunk in _chunks(count, 2 * group.order):
+                resids = _convolution_residuals(group, chunk, rng)
+                worst = max(worst, float(resids.max()))
+                failures += [{"order": group.order, "case": chunk[r], "residual": float(resids[r])}
+                             for r in np.flatnonzero(resids > 1e-12)]
+        extra = {"worst_residual": worst}
     return {
         "schema": "qchar-report-1",
         "kind": f"sweep:{kind}",

@@ -14,7 +14,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GroupMismatchError, UndefinedLogError
-from .measures import JointDistribution, CharacteristicFunction
+from .groups import FiniteAbelianGroup
+from .measures import (
+    CharacteristicFunction,
+    JointDistribution,
+    _char_fn_rows,
+    _marginal_cf_product,
+    _product_group,
+)
 from .polynomials import (
     DEGREE_CAP,
     GroupFunction,
@@ -185,6 +192,19 @@ def _window_witness(win: IntegerWindow, q_vals: np.ndarray, value_residual, d_ma
     return QWitness(q=q_fn, degree=degree, residual=residual, coefficients=coeffs)
 
 
+def _q_gaps(groups: tuple, rows: np.ndarray) -> np.ndarray:
+    """max |joint transform - product of marginal transforms| of each row of a
+    stack of joint laws on the product of ``groups``; NaN stays NaN."""
+    joint = _char_fn_rows(_product_group(tuple(groups)), rows)
+    return np.abs(joint - _marginal_cf_product(groups, rows)).max(axis=1)
+
+
+def _zero_witness(group: FiniteAbelianGroup, resid: float) -> QWitness:
+    """The witness q = 0 that every Q-independence on a finite group collapses to."""
+    return QWitness(q=GroupFunction(group, np.zeros(group.order)), degree=0,
+                    residual=resid, coefficients={})
+
+
 def extract_q_witness(joint, d_max: int = DEGREE_CAP, tol: float | None = None):
     """Search for a Q-independence witness; None when there is none.
 
@@ -196,11 +216,8 @@ def extract_q_witness(joint, d_max: int = DEGREE_CAP, tol: float | None = None):
     """
     if isinstance(joint, JointDistribution):
         tol = GROUP_Q_TOL if tol is None else tol
-        resid = float(np.abs(joint.joint_cf().values - joint.marginal_cf_product()).max())
-        if not within(resid, tol):
-            return None
-        zero = GroupFunction(joint.product_group, np.zeros(joint.product_group.order))
-        return QWitness(q=zero, degree=0, residual=resid, coefficients={})
+        resid = float(_q_gaps(joint.groups, joint.probs[None])[0])
+        return _zero_witness(joint.product_group, resid) if within(resid, tol) else None
     if not isinstance(joint, SpectralJoint):
         raise TypeError(f"unsupported joint data {type(joint).__name__}")
     tol = WINDOW_Q_TOL if tol is None else tol
@@ -248,10 +265,7 @@ def q_identical_witness(f1, f2, d_max: int = DEGREE_CAP, tol: float | None = Non
             raise GroupMismatchError("transforms on different groups")
         tol = GROUP_Q_TOL if tol is None else tol
         resid = float(np.abs(a.values - b.values).max())
-        if not within(resid, tol):
-            return None
-        zero = GroupFunction(a.group, np.zeros(a.group.order))
-        return QWitness(q=zero, degree=0, residual=resid, coefficients={})
+        return _zero_witness(a.group, resid) if within(resid, tol) else None
     if isinstance(a, WindowFunction) and isinstance(b, WindowFunction):
         if a.window != b.window or a.window.dim != 1:
             raise GroupMismatchError("expected matching dim-1 windows")

@@ -363,6 +363,44 @@ def test_sweep_seed_changes_cases(capsys):
     assert out1 != out2
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--arities", "4"], "--max-order 12 with --arities 4: the largest swept group Z_12^4 "
+                         "exceeds the order cap 4096"),
+    (["--max-order", "20"], "--max-order 20 with --arities 2,3: the largest swept group "
+                            "Z_20^3 exceeds the order cap 4096"),
+    (["--arities", "2", "--max-order", "70"], "--max-order 70 with --arities 2: the largest "
+                                              "swept group Z_70^2 exceeds the order cap 4096"),
+    (["--arities", "1000000000"], "--max-order 12 with --arities 1000000000: the largest swept "
+                                  "group Z_12^1000000000 exceeds the order cap 4096"),
+    (["--arities", "2,,3"], "--arities: invalid literal for int() with base 10: ''"),
+    (["--arities", "1"], "--arities: 1 is below 2; a one-factor joint is always a product"),
+    (["--arities", "3,0"], "--arities: 0 is below 2; a one-factor joint is always a product"),
+    (["--count", "-3"], "--count: -3 is negative"),
+    (["--seed", "-1"], "--seed: -1 is negative"),
+])
+def test_sweep_bad_arguments_exit_two(capsys, args, message):
+    code, out, err = run_cli(["sweep", "independence-collapse", *args], capsys)
+    assert (code, out, err) == (2, "", f"qchar: invalid input: {message}\n")
+
+
+def test_convolution_sweep_above_the_order_cap_exits_two(capsys):
+    code, out, err = run_cli(["sweep", "convolution", "--max-order", "5000"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("qchar: invalid input: --max-order 5000: the largest swept group Z_5000 "
+                   "exceeds the order cap 4096\n")
+    # the arities do not bound a convolution sweep
+    code, _, _ = run_cli(["sweep", "convolution", "--count", "1", "--max-order", "70"], capsys)
+    assert code == 0
+
+
+@pytest.mark.parametrize("kind", ["independence-collapse", "convolution"])
+def test_sweep_of_zero_cases_passes(capsys, kind):
+    code, out, _ = run_cli(["sweep", kind, "--count", "0", "--arities", "2",
+                            "--max-order", "64"], capsys)
+    assert code == 0
+    assert json.loads(out)["details"]["cases"] == 0
+
+
 def test_construct_gate_pass_and_reject(capsys):
     ok, out, _ = run_cli(["construct", "--phi", '{"even_coeffs": {"4": 1.0}}'], capsys)
     assert ok == 0

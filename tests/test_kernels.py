@@ -12,6 +12,7 @@ from qchar.groups import (
     groups_up_to_order,
     phase_matrix,
 )
+from qchar.errors import GroupMismatchError
 from qchar.kernels import convolve, dft, dft_many
 
 GROUPS = [
@@ -55,6 +56,19 @@ def test_convolution_theorem(g, rng):
     lhs = dft(g, c)
     rhs = dft(g, p) * dft(g, q)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("orders", [(), (1,), (7,), (12,), (2, 4), (3, 3, 2), (64,)])
+def test_stacked_convolve_is_bitwise_the_one_pair_calls(orders, rng):
+    g = FiniteAbelianGroup(orders)
+    p = np.stack([random_prob(rng, g.order) for _ in range(9)])
+    q = np.stack([random_prob(rng, g.order) for _ in range(9)])
+    out = convolve(g, p, q)
+    assert out.shape == p.shape
+    for r in range(9):
+        assert np.array_equal(out[r], convolve(g, p[r], q[r]))
+    with pytest.raises(GroupMismatchError):
+        convolve(g, p, q[:4])
 
 
 def test_dft_many_matches_single(rng):

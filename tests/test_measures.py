@@ -4,6 +4,8 @@ import pytest
 from qchar.errors import FactorizationError, GroupMismatchError, NotPositiveDefiniteError
 from qchar.groups import FiniteAbelianGroup, GroupHom, Subgroup, annihilator, multiplication_map
 from qchar.measures import (
+    _check_cf,
+    _check_masses,
     CharacteristicFunction,
     Distribution,
     JointDistribution,
@@ -26,6 +28,51 @@ from qchar.measures import (
 @pytest.fixture
 def rng():
     return np.random.Generator(np.random.Philox(7))
+
+
+def _raised(build, *args):
+    with pytest.raises(Exception) as info:
+        build(*args)
+    return type(info.value), str(info.value)
+
+
+G23 = FiniteAbelianGroup((2, 3))
+_LAW = np.full(6, 1 / 6)
+
+
+@pytest.mark.parametrize("bad", [
+    np.array([-0.1, 0.3, 0.2, 0.2, 0.2, 0.2]),       # negative mass
+    np.array([np.nan, 0.2, 0.2, 0.2, 0.2, 0.2]),     # NaN mass
+    np.array([0.1, 0.1, 0.2, 0.2, 0.2, 0.1]),        # total mass 0.9
+], ids=["negative", "nan", "sum"])
+def test_mass_rows_raise_as_the_constructor(bad):
+    want = _raised(Distribution, G23, bad)
+    rows = np.stack([_LAW, _LAW, bad, _LAW])
+    assert _raised(_check_masses, G23, rows) == want
+    # the first failing row decides; a later bad row does not
+    rows[3] = np.array([0.5] * 6)
+    assert _raised(_check_masses, G23, rows) == want
+    _check_masses(G23, np.stack([_LAW] * 3))
+
+
+def _cf(**edits):
+    values = char_fn(Distribution(G23, np.array([0.3, 0.1, 0.1, 0.2, 0.2, 0.1]))).values.copy()
+    for i, v in edits.items():
+        values[int(i[1:])] = v
+    return values
+
+
+@pytest.mark.parametrize("bad", [
+    _cf(i0=0.9),                  # f(0) != 1
+    _cf(i1=0.5j, i2=0.5j),        # f(-y) != conj f(y); -(0, 1) = (0, 2)
+    _cf(i3=1.5),                  # |f| > 1 at the element of order 2
+], ids=["zero", "hermitian", "modulus"])
+def test_cf_rows_raise_as_the_constructor(bad):
+    want = _raised(CharacteristicFunction, G23, bad)
+    good = _cf()
+    rows = np.stack([good, bad, good])
+    assert _raised(_check_cf, G23, rows) == want
+    _check_cf(G23, np.stack([good] * 3))
 
 
 def test_distribution_validation():

@@ -5,7 +5,7 @@ from qchar.circle import gaussian_distribution, sum_difference_joint
 from qchar.groups import FiniteAbelianGroup
 from qchar.measures import JointDistribution, product_joint, random_distribution
 from qchar.polynomials import GroupFunction
-from qchar.witnesses import extract_q_witness, q_identical_witness, verify_q_independence
+from qchar.witnesses import _q_gaps, extract_q_witness, q_identical_witness, verify_q_independence
 
 
 @pytest.fixture
@@ -28,6 +28,28 @@ def test_correlated_joint_yields_no_witness():
     probs = np.array([0.3, 0.05, 0.05, 0.05, 0.3, 0.05, 0.05, 0.05, 0.1])
     j = JointDistribution((g, g), probs)
     assert extract_q_witness(j) is None
+
+
+@pytest.mark.parametrize("orders", [[(5,), (5,)], [(2, 3), (4,)], [(3,), (3,), (3,)],
+                                    [(2,), (2, 2), (2,)], [(12,), (12,)]])
+def test_stacked_q_gaps_are_bitwise_the_one_row_calls(orders, rng):
+    groups = tuple(FiniteAbelianGroup(o) for o in orders)
+    size = int(np.prod([g.order for g in groups]))
+    rows = []
+    for i in range(50):
+        if i % 2:
+            p = rng.random(size) + 1e-3
+            rows.append(p / p.sum())
+        else:
+            rows.append(product_joint([random_distribution(g, rng) for g in groups]).probs)
+    rows = np.stack(rows)
+    gaps = _q_gaps(groups, rows)
+    for r in range(50):
+        assert np.array_equal(gaps[r:r + 1], _q_gaps(groups, rows[r:r + 1]))
+        w = extract_q_witness(JointDistribution(groups, rows[r]))
+        assert (w is not None) == (r % 2 == 0)
+        if w is not None:
+            assert w.residual == gaps[r]
 
 
 def test_joint_with_nan_mass_gets_no_witness():
