@@ -195,7 +195,7 @@ def _window_witness(win: IntegerWindow, q_vals: np.ndarray, value_residual, d_ma
 def _q_gaps(groups: tuple, rows: np.ndarray) -> np.ndarray:
     """max |joint transform - product of marginal transforms| of each row of a
     stack of joint laws on the product of ``groups``; NaN stays NaN."""
-    joint = _char_fn_rows(_product_group(tuple(groups)), rows)
+    joint = _char_fn_rows(_product_group(groups), rows)
     return np.abs(joint - _marginal_cf_product(groups, rows)).max(axis=1)
 
 
