@@ -33,11 +33,11 @@ from .groups import (
     _add,
     _characters,
     _neg_table,
+    _translates,
     adjoint,
     annihilator,
     is_corwin,
     multiplication_map,
-    structural_predicates,
 )
 from .measures import (
     CharacteristicFunction,
@@ -45,7 +45,7 @@ from .measures import (
     _idempotent_shift_factor,
     inverse_char_fn,
 )
-from .polynomials import GroupFunction, WindowFunction, constancy_check, peak, within
+from .polynomials import GroupFunction, WindowFunction, _pair_peak, constancy_check, peak, within
 from .witnesses import QWitness, extract_q_witness
 
 __all__ = [
@@ -90,6 +90,20 @@ def _locate_character(group: FiniteAbelianGroup, values: np.ndarray,
     if not within(peak(row - values), tol):
         return None
     return GroupElement(group.coords(best))
+
+
+def _degenerate_verdicts(group: FiniteAbelianGroup, cfs, tol: float) -> tuple:
+    """A "degenerate" verdict per unit-modulus transform, at the character it matches."""
+    verdicts = []
+    for j, f in enumerate(cfs):
+        flat = peak(np.abs(f.values) - 1.0)
+        if not within(flat, tol):
+            raise FactorizationError(f"component {j} should have unit modulus, defect {flat:.3e}")
+        point = _locate_character(group, f.values, tol)
+        if point is None:
+            raise FactorizationError(f"component {j} has unit modulus but matches no character")
+        verdicts.append({"index": j, "verdict": "degenerate", "point": list(point.coords)})
+    return tuple(verdicts)
 
 
 def _check_q(group: FiniteAbelianGroup, q) -> np.ndarray | None:
@@ -170,21 +184,25 @@ def _sd_tables(inst: SDInstance):
 
 def sd_equation_residual(inst: SDInstance) -> float:
     """Max defect of the two-statistic product identity on the dual square."""
+    return _sd_residual(inst, *_sd_tables(inst))
+
+
+def _sd_residual(inst: SDInstance, abar, bbar) -> float:
     n = inst.group.order
-    abar, bbar = _sd_tables(inst)
-    lhs = np.ones((n, n), dtype=np.complex128)
     col = np.ones(n, dtype=np.complex128)
     row = np.ones(n, dtype=np.complex128)
     for f, A, B in zip(inst.cfs, abar, bbar):
-        vals = np.asarray(f.values)
-        lhs *= vals[_add(inst.group, A[:, None], B[None, :])]
-        col *= vals[A]
-        row *= vals[B]
-    rhs = col[:, None] * row[None, :]
+        col *= f.values[A]
+        row *= f.values[B]
     qm = _check_q(inst.group, inst.q)
-    if qm is not None:
-        rhs = rhs * np.exp(qm)
-    return float(np.abs(lhs - rhs).max())
+
+    def defect(u):
+        lhs = np.ones((u.size, n), dtype=np.complex128)
+        for f, A, B in zip(inst.cfs, abar, bbar):
+            lhs *= f.values[_add(inst.group, A[u], B)]
+        rhs = col[u] * row
+        return lhs - (rhs if qm is None else rhs * np.exp(qm[u[:, 0]]))
+    return _pair_peak(n, n, defect)
 
 
 def sd_conclude(inst: SDInstance, tol: float = CHECK_TOL) -> SDConclusion:
@@ -194,13 +212,13 @@ def sd_conclude(inst: SDInstance, tol: float = CHECK_TOL) -> SDConclusion:
     equal coefficient ratio, eliminate, and read the conclusion off the
     constant target.
     """
-    resid = sd_equation_residual(inst)
+    abar, bbar = _sd_tables(inst)
+    resid = _sd_residual(inst, abar, bbar)
     if not within(resid, tol):
         raise HypothesisError(
             f"product identity fails with residual {resid:.3e}", residual=resid
         )
     group = inst.group
-    abar, bbar = _sd_tables(inst)
     n = group.order
     classes: dict[bytes, dict] = {}
     for f, A, B in zip(inst.cfs, abar, bbar):
@@ -226,21 +244,8 @@ def sd_conclude(inst: SDInstance, tol: float = CHECK_TOL) -> SDConclusion:
     trace = run_pexider_chain(problem)
     p_total = GroupFunction(group, sum(_log_sq_modulus(f) for f in inst.cfs))
     constancy = constancy_check(p_total)
-    verdicts = []
-    for j, f in enumerate(inst.cfs):
-        flat = np.abs(np.abs(np.asarray(f.values)) - 1.0).max()
-        if not within(flat, tol):
-            raise FactorizationError(
-                f"component {j} should have unit modulus, defect {flat:.3e}"
-            )
-        point = _locate_character(group, f.values, tol)
-        if point is None:
-            raise FactorizationError(
-                f"component {j} has unit modulus but matches no character"
-            )
-        verdicts.append({"index": j, "verdict": "degenerate",
-                         "point": list(point.coords)})
-    return SDConclusion(equation_residual=resid, verdicts=tuple(verdicts),
+    verdicts = _degenerate_verdicts(group, inst.cfs, tol)
+    return SDConclusion(equation_residual=resid, verdicts=verdicts,
                         trace=trace, constancy=constancy)
 
 
@@ -294,21 +299,21 @@ def heyde_condition(group: FiniteAbelianGroup, alpha: Automorphism):
     return True, None
 
 
-def _symmetry_points(inst: HeydeInstance):
-    """Index arrays of u+v, u+bv, u-v and u-bv on the dual square."""
+def _symmetry_peak(inst: HeydeInstance, defect) -> float:
+    """Peak of defect(u+v, u+bv, u-v, u-bv) over the dual square."""
     group = inst.group
-    neg = np.asarray(_neg_table(group), dtype=np.int64)
-    bb = np.asarray(adjoint(inst.alpha).table, dtype=np.int64)
-    u = np.arange(group.order)[:, None]
-    return [_add(group, u, w) for w in (u.T, bb[u.T], neg[u.T], neg[bb[u.T]])]
+    n = group.order
+    neg = _neg_table(group)
+    bb = adjoint(inst.alpha).table
+    moves = (np.arange(n), bb, neg, neg[bb])
+    return _pair_peak(n, n, lambda u: defect(*(_add(group, u, w) for w in moves)))
 
 
 def heyde_symmetry_residual(inst: HeydeInstance) -> float:
     """Defect of J(u+v, u+bv) = J(u-v, u-bv) on the dual square."""
     n = inst.group.order
     J = np.asarray(inst.joint.joint_cf().values).reshape(n, n)
-    s, t, s_neg, t_neg = _symmetry_points(inst)
-    return float(np.abs(J[s, t] - J[s_neg, t_neg]).max())
+    return _symmetry_peak(inst, lambda s, t, s_neg, t_neg: J[s, t] - J[s_neg, t_neg])
 
 
 def symmetry_witness(inst: HeydeInstance, tol: float = CHECK_TOL) -> QWitness | None:
@@ -323,8 +328,8 @@ def symmetry_witness(inst: HeydeInstance, tol: float = CHECK_TOL) -> QWitness | 
     f2 = np.asarray(kernels.dft(group, np.asarray(inst.joint.marginal(1).probs)))
     if min(np.abs(f1).min(), np.abs(f2).min()) <= VANISH_TOL:
         raise UndefinedLogError("a marginal transform vanishes on the dual group")
-    s, t, s_neg, t_neg = _symmetry_points(inst)
-    resid = float(np.abs(f1[s] * f2[t] - f1[s_neg] * f2[t_neg]).max())
+    resid = _symmetry_peak(
+        inst, lambda s, t, s_neg, t_neg: f1[s] * f2[t] - f1[s_neg] * f2[t_neg])
     if not within(resid, tol):
         return None
     sq = _square_group(group)
@@ -340,20 +345,13 @@ def heyde_conclude(inst: HeydeInstance, tol: float = CHECK_TOL) -> HeydeConclusi
     identity of the doubled transforms.
     """
     group = inst.group
-    preds = structural_predicates(group)
-    if preds["has_order_two_elements"]:
+    if group.order % 2 == 0:  # by Cauchy's theorem, exactly when some element has order 2
         raise HypothesisError(
-            "group has elements of order 2; the symmetry argument needs odd order"
-        )
+            "group has elements of order 2; the symmetry argument needs odd order")
     ok, kel = heyde_condition(group, inst.alpha)
     if not ok:
-        neg = np.asarray(_neg_table(group), dtype=np.int64)
-        is_negation = bool(
-            np.array_equal(np.asarray(inst.alpha.table, dtype=np.int64),
-                           neg[np.arange(group.order)])
-        )
         hint = None
-        if is_negation:
+        if np.array_equal(inst.alpha.table, _neg_table(group)):
             hint = ("alpha is negation: any identically distributed independent "
                     "pair satisfies the symmetry, so no conclusion is possible")
         raise KernelConditionError(
@@ -377,9 +375,10 @@ def heyde_conclude(inst: HeydeInstance, tol: float = CHECK_TOL) -> HeydeConclusi
     f2 = np.asarray(kernels.dft(group, np.asarray(inst.joint.marginal(1).probs)))
     cf1 = CharacteristicFunction(group, f1)
     cf2 = CharacteristicFunction(group, f2)
-    lhs = f1[_add(group, one_plus_b[:, None], two)] * f2[_add(group, two_b[:, None], one_plus_b)]
-    rhs = (f1[one_plus_b] * f2[two_b])[:, None] * (f1[two] * f2[one_plus_b])[None, :]
-    doubled = float(np.abs(lhs - rhs).max())
+    col, row = f1[one_plus_b] * f2[two_b], f1[two] * f2[one_plus_b]
+    doubled = _pair_peak(n, n, lambda u: (
+        f1[_add(group, one_plus_b[u], two)] * f2[_add(group, two_b[u], one_plus_b)]
+        - col[u] * row))
     if not within(doubled, tol):
         raise HypothesisError(
             f"doubled product identity fails with residual {doubled:.3e}",
@@ -391,24 +390,10 @@ def heyde_conclude(inst: HeydeInstance, tol: float = CHECK_TOL) -> HeydeConclusi
     trace = run_heyde_chain(psi1, psi2, bb, r_degree=0)
     p_vals = np.asarray(psi1.values)[one_plus_b] + np.asarray(psi2.values)[two_b]
     constancy = constancy_check(GroupFunction(group, p_vals))
-    verdicts = []
-    for j, f in enumerate((cf1, cf2)):
-        flat = float(np.abs(np.abs(f.values) - 1.0).max())
-        if not within(flat, tol):
-            raise FactorizationError(
-                f"component {j} should have unit modulus, defect {flat:.3e}"
-            )
-        point = _locate_character(group, f.values, tol)
-        if point is None:
-            raise FactorizationError(
-                f"component {j} has unit modulus but matches no character"
-            )
-        verdicts.append({"index": j, "verdict": "degenerate",
-                         "point": list(point.coords)})
     return HeydeConclusion(
         condition=True, symmetry_residual=sym, independence=witness,
-        doubled_residual=doubled, verdicts=tuple(verdicts), trace=trace,
-        constancy=constancy,
+        doubled_residual=doubled, verdicts=_degenerate_verdicts(group, (cf1, cf2), tol),
+        trace=trace, constancy=constancy,
     )
 
 
@@ -455,16 +440,18 @@ def kb_equation_residual(inst: KBInstance) -> float:
     """Defect of f1(u+v) f2(u-v) = f1(u) f2(u) f1(v) f2(-v) e^q."""
     group = inst.group
     n = group.order
-    neg = np.asarray(_neg_table(group), dtype=np.int64)
+    neg = _neg_table(group)
     f1 = np.asarray(inst.cf1.values)
     f2 = np.asarray(inst.cf2.values)
-    u = np.arange(n)[:, None]
-    lhs = f1[_add(group, u, u.T)] * f2[_add(group, u, neg[u.T])]
-    rhs = (f1 * f2)[:, None] * (f1 * f2[neg[np.arange(n)]])[None, :]
+    col, row = f1 * f2, f1 * f2[neg]
     qm = _check_q(group, inst.q)
-    if qm is not None:
-        rhs = rhs * np.exp(qm)
-    return float(np.abs(lhs - rhs).max())
+    # f1(u + v) and f2(u - v) = f2(-(v - u)), as rows of translates
+    sums, diffs = _translates(group, f1), _translates(group, f2[neg])
+
+    def defect(u):
+        rhs = col[u] * row
+        return sums(u) * diffs(neg[u]) - (rhs if qm is None else rhs * np.exp(qm[u[:, 0]]))
+    return _pair_peak(n, n, defect)
 
 
 def kb_doubling_check(inst: KBInstance) -> dict:
@@ -508,37 +495,26 @@ def kb_factorize(inst: KBInstance, tol: float = CHECK_TOL) -> KBFactorization:
     group = inst.group
     resid = kb_equation_residual(inst)
     if not within(resid, tol):
-        raise HypothesisError(
-            f"sum/difference identity fails with residual {resid:.3e}",
-            residual=resid,
-        )
+        raise HypothesisError(f"sum/difference identity fails with residual {resid:.3e}",
+                              residual=resid)
     doubling = kb_doubling_check(inst)
-    odd = not structural_predicates(group)["has_order_two_elements"]
-    n1 = set(np.where(np.abs(inst.cf1.values) > VANISH_TOL)[0].tolist())
-    n2 = set(np.where(np.abs(inst.cf2.values) > VANISH_TOL)[0].tolist())
-    if odd and n1 != n2:
-        raise FactorizationError(
-            "on an odd-order group both transforms must share one support"
-        )
-    common = sorted(n1 & n2)
+    odd = group.order % 2 == 1  # no element of order 2
+    n1 = np.abs(inst.cf1.values) > VANISH_TOL
+    n2 = np.abs(inst.cf2.values) > VANISH_TOL
+    if odd and (n1 != n2).any():
+        raise FactorizationError("on an odd-order group both transforms must share one support")
     try:
-        N = Subgroup(group, tuple(common))
+        N = Subgroup(group, tuple(np.flatnonzero(n1 & n2).tolist()))
     except InvalidSubgroupError as exc:
-        raise FactorizationError(
-            f"common non-vanishing set is not a subgroup: {exc}"
-        ) from exc
-    W = annihilator(group, N.elements)
+        raise FactorizationError(f"common non-vanishing set is not a subgroup: {exc}") from exc
+    W = annihilator(group, N)
     if not is_corwin(W):
-        raise FactorizationError(
-            "annihilator of the non-vanishing subgroup is not doubling-stable"
-        )
+        raise FactorizationError("annihilator of the non-vanishing subgroup is not doubling-stable")
     factors = []
     for j, f in enumerate((inst.cf1, inst.cf2)):
         fac = _idempotent_shift_factor(inverse_char_fn(f), f.values)
         if fac is None:
-            raise FactorizationError(
-                f"component {j} is not a shifted uniform measure"
-            )
+            raise FactorizationError(f"component {j} is not a shifted uniform measure")
         x, K = fac
         if K != W:
             raise FactorizationError(

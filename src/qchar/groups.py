@@ -13,8 +13,8 @@ point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache, reduce
+from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -182,6 +182,20 @@ def _unit_indices(group: FiniteAbelianGroup) -> np.ndarray:
     return (1 % np.asarray(group.orders, dtype=np.int64)) * _strides(group)
 
 
+def _translates(group: FiniteAbelianGroup, values: np.ndarray):
+    """Map a column of indices s to the rows values[s + x] over all x.
+
+    The rows are windows of one wrapped-around copy of the values, so no sum
+    of indices is formed.
+    """
+    wrapped = np.reshape(values, group.orders or (1,))
+    for axis in range(wrapped.ndim):
+        wrapped = np.concatenate((wrapped, wrapped), axis=axis)
+    shape = tuple(n // 2 for n in wrapped.shape)
+    windows = np.ndarray(shape * 2, wrapped.dtype, wrapped, strides=wrapped.strides * 2)
+    return lambda s: windows[tuple(_coords_table(group)[s[:, 0]].T)].reshape(len(s), -1)
+
+
 def _linear_table(source: FiniteAbelianGroup, target: FiniteAbelianGroup, mat) -> np.ndarray:
     """Index table of the coordinate map x -> mat x, reduced mod the target orders."""
     img = _coords_table(source) @ np.asarray(mat, dtype=np.int64).T
@@ -232,6 +246,7 @@ class Subgroup:
 
     group: FiniteAbelianGroup
     elements: tuple[int, ...]
+    _generators: tuple[int, ...] = field(default=(), init=False, repr=False, compare=False)
 
     def __post_init__(self):
         el = tuple(sorted(int(i) for i in set(self.elements)))
@@ -243,15 +258,19 @@ class Subgroup:
             raise InvalidSubgroupError("subgroup element index out of range")
         member = np.zeros(self.group.order, dtype=bool)
         member[arr] = True
-        if not member[_add(self.group, arr[:, None], arr[None, :])].all():
-            raise InvalidSubgroupError("element set is not closed under addition")
+        # the last span holds every element, so a set no span leaves is that subgroup
+        gens = []
+        for g, span in _spans(self.group, arr):
+            if not member[span].all():
+                raise InvalidSubgroupError("element set is not closed under addition")
+            gens.append(g)
+        object.__setattr__(self, "_generators", tuple(gens))
 
     @classmethod
     def from_generators(cls, group: FiniteAbelianGroup, gens) -> "Subgroup":
-        members = np.zeros(1, dtype=np.int64)
-        for g in gens:
-            members = _cosets(group, members, group.as_index(g)).ravel()
-        return cls(group, tuple(members.tolist()))
+        idx = np.asarray([group.as_index(g) for g in gens], dtype=np.int64)
+        spans = [np.zeros(1, dtype=np.int64)] + [span for _, span in _spans(group, idx)]
+        return cls(group, tuple(spans[-1].tolist()))
 
     @classmethod
     def trivial(cls, group: FiniteAbelianGroup) -> "Subgroup":
@@ -272,34 +291,45 @@ class Subgroup:
         return [self.group.coords(i) for i in self.elements]
 
 
-def _cosets(group: FiniteAbelianGroup, K: np.ndarray, g: int) -> np.ndarray:
+def _cosets(group: FiniteAbelianGroup, K: np.ndarray, g: int, member: np.ndarray) -> np.ndarray:
     """(|K|, m) indices of K + i g, 0 <= i < m, for K the index array of a subgroup.
 
-    i g is the image of i under Z_L -> G, 1 -> g (L the exponent).  For the least
-    m > 0 with m g in K, the columns are disjoint cosets making up K + <g>.
+    ``member`` marks K.  i g is the image of i under Z_L -> G, 1 -> g (L the
+    exponent).  For the least m > 0 with m g in K, the columns are disjoint
+    cosets making up K + <g>.
     """
-    cyclic = FiniteAbelianGroup((group.exponent,))
-    multiples = _linear_table(cyclic, group, _coords_table(group)[g][:, None])
-    member = np.zeros(group.order, dtype=bool)
-    member[K] = True
-    back = np.flatnonzero(member[multiples])
-    m = back[1] if back.size > 1 else multiples.size
-    return _add(group, K[:, None], multiples[None, :m])
+    coords, orders = _coords_table(group), np.asarray(group.orders, dtype=np.int64)
+    steps = np.arange(group.exponent + 1)[:, None] * coords[g] % orders  # L g = 0 is in K
+    m = 1 + int(np.argmax(member[_index_of_coords(group, steps[1:])]))
+    return _index_of_coords(group, (coords[K][:, None] + steps[:m]) % orders)
+
+
+def _spans(group: FiniteAbelianGroup, idx: np.ndarray):
+    """Yield (g, span) with g the first element of idx outside the last span.
+
+    Each span is the last one plus <g>, at least twice its size, so the last
+    of at most log2 |G| spans is the subgroup generated by idx.
+    """
+    span, spanned = np.zeros(1, dtype=np.int64), np.zeros(group.order, dtype=bool)
+    spanned[0] = True
+    while (rest := idx[~spanned[idx]]).size:
+        span = _cosets(group, span, int(rest[0]), spanned).ravel()
+        spanned[span] = True
+        yield int(rest[0]), span
 
 
 def annihilator(group: FiniteAbelianGroup, subset) -> Subgroup:
-    """All dual elements pairing to 1 with every element of the given set."""
+    """All dual elements pairing to 1 with every element of the set, so with its generators."""
     if isinstance(subset, Subgroup):
         if subset.group != group:
             raise GroupMismatchError("subgroup lives on a different group")
-        idx = np.asarray(subset.elements, dtype=np.int64)
+        gens = subset._generators
     else:
         idx = np.asarray([group.as_index(x) for x in subset], dtype=np.int64)
-    if idx.size == 0:
-        return Subgroup.full(group)
-    phases = phase_matrix(group, idx, np.arange(group.order))
-    ann = np.where((phases == 0).all(axis=0))[0]
-    return Subgroup(group, tuple(int(i) for i in ann))
+        gens = [g for g, _ in _spans(group, idx)]
+    phases = phase_matrix(group, np.asarray(gens, dtype=np.int64), np.arange(group.order))
+    ann = np.flatnonzero((phases == 0).all(axis=0))
+    return Subgroup(group, tuple(ann.tolist()))
 
 
 @dataclass(eq=False)
@@ -466,12 +496,7 @@ def element_order(group: FiniteAbelianGroup, x) -> int:
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for d in range(2, int(p**0.5) + 1):
-        if p % d == 0:
-            return False
-    return True
+    return p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1))
 
 
 def primary_component(group: FiniteAbelianGroup, p: int) -> Subgroup:
@@ -483,15 +508,10 @@ def primary_component(group: FiniteAbelianGroup, p: int) -> Subgroup:
     if group.rank == 0:
         return Subgroup.full(group)
     per = orders // np.gcd(coords, orders)
-    el_orders = reduce(np.lcm, per.T) if group.rank > 1 else per[:, 0]
-    keep = []
-    for i, o in enumerate(el_orders):
-        o = int(o)
-        while o % p == 0:
-            o //= p
-        if o == 1:
-            keep.append(i)
-    return Subgroup(group, tuple(keep))
+    el_orders = np.lcm.reduce(per, axis=1)
+    # o is a power of p exactly when it divides p^k for k = bit length of o >= log_p o
+    return Subgroup(group, tuple(i for i, o in enumerate(el_orders.tolist())
+                                 if p ** o.bit_length() % o == 0))
 
 
 def _diagonalize(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
@@ -547,13 +567,7 @@ def _diagonalize(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
 
 def generating_set(sub: Subgroup) -> list[int]:
     """Small generating set of a subgroup, greedy over its element list."""
-    gens: list[int] = []
-    covered = np.zeros(1, dtype=np.int64)
-    for idx in sub.elements:
-        if idx not in covered:
-            gens.append(idx)
-            covered = _cosets(sub.group, covered, idx).ravel()
-    return gens
+    return list(sub._generators)
 
 
 def quotient(group: FiniteAbelianGroup, sub: Subgroup) -> tuple[FiniteAbelianGroup, GroupHom]:
@@ -580,15 +594,21 @@ def quotient(group: FiniteAbelianGroup, sub: Subgroup) -> tuple[FiniteAbelianGro
 
 def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
     """Every subgroup, found by growing each found K to K + <g>."""
+    return [Subgroup(group, el) for el in _subgroup_elements(group)]
+
+
+def _subgroup_elements(group: FiniteAbelianGroup) -> list[tuple[int, ...]]:
+    """Sorted element tuples of every subgroup, by (order, elements); closed by construction."""
     seen = {(0,)}
     todo = [(0,)]
     while todo:
         K = np.asarray(todo.pop(), dtype=np.int64)
-        tried = np.zeros(group.order, dtype=bool)
-        tried[K] = True
+        member = np.zeros(group.order, dtype=bool)
+        member[K] = True
+        tried = member.copy()
         for g in range(1, group.order):
             if not tried[g]:
-                cosets = _cosets(group, K, g)
+                cosets = _cosets(group, K, g, member)
                 # i g + K grows K to the same K + <g> whenever gcd(i, m) = 1
                 m = cosets.shape[1]
                 tried[cosets[:, [i for i in range(1, m) if math.gcd(i, m) == 1]]] = True
@@ -596,7 +616,7 @@ def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:
                 if grown not in seen:
                     seen.add(grown)
                     todo.append(grown)
-    return [Subgroup(group, el) for el in sorted(seen, key=lambda e: (len(e), e))]
+    return sorted(seen, key=lambda e: (len(e), e))
 
 
 def groups_up_to_order(max_order: int, include_trivial: bool = False) -> list[FiniteAbelianGroup]:

@@ -131,6 +131,17 @@ def within(residual, tol) -> bool:
     return bool(residual <= tol)
 
 
+def _pair_peak(count: int, width: int, defect) -> float:
+    """``peak`` of defect(u) over u in range(count), for a column u of rows at a time.
+
+    A row holds the ``width`` defects of u against all v, a block at most
+    ``BLOCK_ENTRIES``.  The max is exact and ``np.max`` keeps a block's NaN.
+    """
+    step = max(1, BLOCK_ENTRIES // max(width, 1))
+    return float(np.max([peak(defect(np.arange(a, min(a + step, count))[:, None]))
+                         for a in range(0, count, step)], initial=0.0))
+
+
 class PolynomialCertificate:
     """A certified degree and the residual that decided it.
 
@@ -342,10 +353,9 @@ def quadratic_check(f, tol: float = 1e-12) -> float:
         neg = _neg_table(g)
         if not within(peak(vals[neg] - vals), tol):
             raise ValueError("f must be even")
-        u = np.arange(g.order)[:, None]
-        resid = (vals[_add(g, u, u.T)] + vals[_add(g, u, neg[None, :])]
-                 - 2.0 * vals[:, None] - 2.0 * vals[None, :])
-        return peak(resid)
+        return _pair_peak(g.order, g.order, lambda u: (
+            vals[_add(g, u, np.arange(g.order))] + vals[_add(g, u, neg)]
+            - 2.0 * vals[u] - 2.0 * vals))
     w = f.window
     N = w.radius
     centre = (N,) * w.dim
@@ -355,21 +365,14 @@ def quadratic_check(f, tol: float = 1e-12) -> float:
         raise ValueError("f must be even")
     pts = w.points()
     flat = vals.ravel()
-    s = pts[:, None, :] + pts[None, :, :]
-    d = pts[:, None, :] - pts[None, :, :]
-    ok = (np.abs(s) <= N).all(axis=2) & (np.abs(d) <= N).all(axis=2)
-    iu, iv = np.where(ok)
-    side = w.side
-    strides = np.array([side**k for k in range(w.dim - 1, -1, -1)])
-    def flat_idx(arr):
-        return (arr + N) @ strides
-    resid = (
-        flat[flat_idx(s[iu, iv])]
-        + flat[flat_idx(d[iu, iv])]
-        - 2.0 * flat[flat_idx(pts[iu])]
-        - 2.0 * flat[flat_idx(pts[iv])]
-    )
-    return peak(resid)
+    strides = w.side ** np.arange(w.dim - 1, -1, -1)
+
+    def defect(u):
+        s, d = pts[u] + pts, pts[u] - pts
+        iu, iv = np.nonzero((np.abs(s) <= N).all(axis=2) & (np.abs(d) <= N).all(axis=2))
+        return (flat[(s[iu, iv] + N) @ strides] + flat[(d[iu, iv] + N) @ strides]
+                - 2.0 * flat[u[iu, 0]] - 2.0 * flat[iv])
+    return _pair_peak(len(pts), len(pts), defect)
 
 
 def monomials_up_to(dim: int, degree: int) -> list[tuple[int, ...]]:

@@ -54,7 +54,7 @@ from .groups import (
     FiniteAbelianGroup,
     GroupHom,
     Subgroup,
-    all_subgroups,
+    _subgroup_elements,
     is_corwin,
     multiplication_map,
     structural_predicates,
@@ -436,7 +436,7 @@ def _conclude(check, *args, **kwargs) -> tuple[str, dict]:
 def _run_group_inspect(payload: dict, tol: float) -> tuple[str, dict]:
     group = _at(payload, "group", _group)
     # subgroup lattices blow up combinatorially; only enumerate small groups
-    count = len(all_subgroups(group)) if group.order <= 256 else None
+    count = len(_subgroup_elements(group)) if group.order <= 256 else None
     details = {
         "orders": list(group.orders),
         "order": group.order,

@@ -1,7 +1,11 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
+
+import qchar.polynomials as polynomials
+from qchar import kernels
 
 from qchar.characterizers import (
     HeydeInstance,
@@ -20,7 +24,15 @@ from qchar.characterizers import (
 )
 from qchar.circle import gaussian_distribution
 from qchar.errors import FactorizationError, HypothesisError, KernelConditionError
-from qchar.groups import Automorphism, FiniteAbelianGroup, Subgroup
+from qchar.groups import (
+    Automorphism,
+    FiniteAbelianGroup,
+    Subgroup,
+    _add,
+    _neg_table,
+    adjoint,
+    multiplication_map,
+)
 from qchar.polynomials import GroupFunction
 from qchar.measures import (
     Distribution,
@@ -264,3 +276,182 @@ def test_check_q_rejects_a_nan_origin():
     with pytest.raises(ValueError, match="vanish at zero"):
         _check_q(g, GroupFunction(sq, q))
     assert _check_q(g, GroupFunction(sq, np.zeros(25))).shape == (5, 5)
+
+
+# -- the blocked dual-square checks against their dense |G| x |G| forms ----------
+#
+# Each reference builds the whole |G| x |G| array of defects and takes one max,
+# as the checks did before they ran in row blocks.  Z_257 and Z_16 x Z_16 hold
+# 66049 and 65536 pairs, several blocks of polynomials.BLOCK_ENTRIES.
+
+
+def _dense_q(group, q):
+    return None if q is None else np.asarray(q.values).reshape(group.order, group.order)
+
+
+def _dense_kb_residual(inst):
+    group, n = inst.group, inst.group.order
+    neg = np.asarray(_neg_table(group), dtype=np.int64)
+    f1, f2 = np.asarray(inst.cf1.values), np.asarray(inst.cf2.values)
+    u = np.arange(n)[:, None]
+    lhs = f1[_add(group, u, u.T)] * f2[_add(group, u, neg[u.T])]
+    rhs = (f1 * f2)[:, None] * (f1 * f2[neg[np.arange(n)]])[None, :]
+    qm = _dense_q(group, inst.q)
+    if qm is not None:
+        rhs = rhs * np.exp(qm)
+    return float(np.abs(lhs - rhs).max())
+
+
+def _dense_sd_residual(inst):
+    n = inst.group.order
+    lhs = np.ones((n, n), dtype=np.complex128)
+    col = np.ones(n, dtype=np.complex128)
+    row = np.ones(n, dtype=np.complex128)
+    for f, a, b in zip(inst.cfs, inst.alphas, inst.betas):
+        A, B = adjoint(a).table, adjoint(b).table
+        vals = np.asarray(f.values)
+        lhs *= vals[_add(inst.group, A[:, None], B[None, :])]
+        col *= vals[A]
+        row *= vals[B]
+    rhs = col[:, None] * row[None, :]
+    qm = _dense_q(inst.group, inst.q)
+    if qm is not None:
+        rhs = rhs * np.exp(qm)
+    return float(np.abs(lhs - rhs).max())
+
+
+def _dense_symmetry_points(inst):
+    group = inst.group
+    neg = np.asarray(_neg_table(group), dtype=np.int64)
+    bb = np.asarray(adjoint(inst.alpha).table, dtype=np.int64)
+    u = np.arange(group.order)[:, None]
+    return [_add(group, u, w) for w in (u.T, bb[u.T], neg[u.T], neg[bb[u.T]])]
+
+
+def _heyde_marginal_cfs(inst):
+    return [np.asarray(kernels.dft(inst.group, np.asarray(inst.joint.marginal(i).probs)))
+            for i in (0, 1)]
+
+
+def _dense_heyde_symmetry(inst):
+    n = inst.group.order
+    J = np.asarray(inst.joint.joint_cf().values).reshape(n, n)
+    s, t, s_neg, t_neg = _dense_symmetry_points(inst)
+    return float(np.abs(J[s, t] - J[s_neg, t_neg]).max())
+
+
+def _dense_witness_residual(inst):
+    f1, f2 = _heyde_marginal_cfs(inst)
+    s, t, s_neg, t_neg = _dense_symmetry_points(inst)
+    return float(np.abs(f1[s] * f2[t] - f1[s_neg] * f2[t_neg]).max())
+
+
+def _dense_doubled_residual(inst):
+    group, n = inst.group, inst.group.order
+    bb_tab = np.asarray(adjoint(inst.alpha).table, dtype=np.int64)
+    one_plus_b = _add(group, np.arange(n), bb_tab)
+    two = np.asarray(multiplication_map(group, 2).table, dtype=np.int64)
+    two_b = two[bb_tab]
+    f1, f2 = _heyde_marginal_cfs(inst)
+    lhs = f1[_add(group, one_plus_b[:, None], two)] * f2[_add(group, two_b[:, None], one_plus_b)]
+    rhs = (f1[one_plus_b] * f2[two_b])[:, None] * (f1[two] * f2[one_plus_b])[None, :]
+    return float(np.abs(lhs - rhs).max())
+
+
+def _random_q(g, rng):
+    values = 0.1 * (rng.random(g.order ** 2) + 1j * rng.random(g.order ** 2))
+    values[0] = 0.0
+    return GroupFunction(FiniteAbelianGroup(g.orders + g.orders), values)
+
+
+def _check_blocked_against_dense(g, units, with_q):
+    rng = np.random.default_rng(g.order)
+    cf = lambda: char_fn(random_distribution(g, rng))
+    q = _random_q(g, rng) if with_q else None
+    kb = KBInstance(g, cf(), cf(), q=q)
+    assert kb_equation_residual(kb) == _dense_kb_residual(kb) > 0.0
+    sd = SDInstance(g, cfs=[cf() for _ in range(3)],
+                    alphas=[mult(g, int(rng.choice(units))) for _ in range(3)],
+                    betas=[mult(g, int(rng.choice(units))) for _ in range(3)], q=q)
+    assert sd_equation_residual(sd) == _dense_sd_residual(sd) > 0.0
+    if not with_q:
+        return
+    # a joint law lives on G x G, so G is no larger than a witness's
+    joint = product_joint([random_distribution(g, rng), random_distribution(g, rng)])
+    heyde = HeydeInstance(g, joint, mult(g, units[2]))
+    assert heyde_symmetry_residual(heyde) == _dense_heyde_symmetry(heyde) > 0.0
+    witness = symmetry_witness(heyde, tol=np.inf)
+    assert witness.residual == _dense_witness_residual(heyde) > 0.0
+    if g.order % 2:
+        # the doubled identity is reached on odd orders, by a pair that passes
+        # the symmetry: point masses at -3 x and x for alpha = 3
+        matched = HeydeInstance(g, product_joint([degenerate(g, (-3 * 7,)), degenerate(g, (7,))]),
+                                mult(g, 3))
+        doubled = heyde_conclude(matched).doubled_residual
+        assert doubled == _dense_doubled_residual(matched) > 0.0
+
+
+@pytest.mark.parametrize("orders, units", [((257,), (1, 2, 3, 5)), ((16, 16), (1, 3, 5, 7))],
+                         ids=["z257", "z16xz16"])
+def test_blocked_residuals_are_bitwise_the_dense_ones(orders, units):
+    # |G|^2 = 66049 and 65536 pairs: five and four blocks of BLOCK_ENTRIES
+    _check_blocked_against_dense(FiniteAbelianGroup(orders), units, with_q=False)
+
+
+# the dual square of a witness is a group, so |G|^2 <= ORDER_CAP < BLOCK_ENTRIES:
+# smaller blocks split those squares, 1 into single rows and 727 into uneven ones
+@pytest.mark.parametrize("block_entries", [1, 727, polynomials.BLOCK_ENTRIES])
+@pytest.mark.parametrize("orders, units", [((61,), (1, 2, 3, 5)), ((8, 8), (1, 3, 5, 7))],
+                         ids=["z61", "z8xz8"])
+def test_blocked_residuals_with_a_witness_are_bitwise_the_dense_ones(
+        monkeypatch, orders, units, block_entries):
+    monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", block_entries)
+    _check_blocked_against_dense(FiniteAbelianGroup(orders), units, with_q=True)
+
+
+def _nan_in_the_last_row_block(g):
+    """A zero witness on the dual square, but NaN in the row of u = |G| - 1."""
+    values = np.zeros(g.order ** 2, dtype=np.complex128)
+    values[(g.order - 1) * g.order + 3] = np.nan
+    return GroupFunction(FiniteAbelianGroup(g.orders + g.orders), values)
+
+
+def test_a_nan_witness_entry_in_the_last_block_fails_kb(monkeypatch):
+    monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", 727)  # rows 0-10, ..., 55-60 of Z_61
+    g = FiniteAbelianGroup((61,))
+    sub = Subgroup.trivial(g)
+    inst = KBInstance(g, char_fn(shifted_haar(g, (3,), sub)), char_fn(shifted_haar(g, (5,), sub)))
+    assert kb_equation_residual(inst) < 1e-12  # the identity holds without the witness
+    inst.q = _nan_in_the_last_row_block(g)
+    assert np.isnan(kb_equation_residual(inst))
+    with pytest.raises(HypothesisError):
+        kb_factorize(inst)
+
+
+def test_a_nan_witness_entry_in_the_last_block_fails_sd(monkeypatch):
+    monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", 727)
+    g = FiniteAbelianGroup((61,))
+    inst = SDInstance(g, cfs=(char_fn(degenerate(g, (2,))), char_fn(degenerate(g, (4,)))),
+                      alphas=(mult(g, 1), mult(g, 2)), betas=(mult(g, 3), mult(g, 1)))
+    assert sd_equation_residual(inst) < 1e-12
+    inst.q = _nan_in_the_last_row_block(g)
+    assert np.isnan(sd_equation_residual(inst))
+    with pytest.raises(HypothesisError):
+        sd_conclude(inst)
+
+
+def test_kb_factorize_at_the_order_cap_allocates_far_below_a_square_table():
+    g = FiniteAbelianGroup((4096,))
+    sub = Subgroup.trivial(g)
+    inst = KBInstance(g, char_fn(shifted_haar(g, (3,), sub)), char_fn(shifted_haar(g, (5,), sub)))
+    kb_factorize(inst)  # fills the O(|G|) coordinate caches
+    tracemalloc.start()
+    try:
+        out = kb_factorize(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.annihilator_subgroup.order == 1
+    assert [list(x.coords) for x, _ in out.factors] == [[3], [5]]
+    # one |G| x |G| array of indices takes 4096^2 * 8 bytes
+    assert peak < g.order * g.order // 4

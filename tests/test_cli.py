@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -299,6 +300,21 @@ def test_circle_cramer_at_the_radius_cap_is_bounded(tmp_path, capsys):
     assert time.perf_counter() - start <= 5.0
     assert code == 0
     assert json.loads(out)["verdict"] == "pass"
+
+
+def test_circle_cramer_at_the_radius_cap_allocates_no_pair_array(tmp_path, capsys):
+    scn = _full_surface("circle-gaussian-split")
+    scn["payload"].update(radius=TRUNCATION_CAP, min_truncation=TRUNCATION_CAP)
+    tracemalloc.start()
+    try:
+        code, out, _ = _run_edited(tmp_path, capsys, scn)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    # quadratic_check's window holds 2049^2 pairs; their (u, v) index arrays
+    # alone took 16 bytes a pair
+    assert peak < 4096 * 4096 // 4
 
 
 @pytest.mark.parametrize("radius, why", [

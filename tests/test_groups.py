@@ -17,6 +17,7 @@ from qchar.groups import (
     GroupHom,
     Subgroup,
     _add,
+    _subgroup_elements,
     adjoint,
     all_subgroups,
     annihilator,
@@ -26,10 +27,12 @@ from qchar.groups import (
     is_corwin,
     multiplication_map,
     pairing,
+    phase_matrix,
     primary_component,
     quotient,
     structural_predicates,
 )
+from qchar.scenarios import run_inspect
 
 
 def test_coords_index_round_trip():
@@ -260,11 +263,13 @@ def test_hom_accepts_exactly_the_additive_tables(orders):
 @pytest.mark.parametrize("orders", [(8,), (2, 4), (3, 3)], ids=str)
 def test_subgroup_accepts_exactly_the_closed_subsets(orders):
     g = FiniteAbelianGroup(orders)
-    found = set()
+    found, closed_subsets = set(), set()
     for mask in range(1 << (g.order - 1)):
         subset = (0,) + tuple(i for i in range(1, g.order) if mask >> (i - 1) & 1)
         closed = all(g.index(g.add(g.coords(a), g.coords(b))) in subset
                      for a in subset for b in subset)
+        if closed:
+            closed_subsets.add(subset)
         try:
             Subgroup(g, subset)
         except InvalidSubgroupError:
@@ -272,7 +277,77 @@ def test_subgroup_accepts_exactly_the_closed_subsets(orders):
         else:
             assert closed, subset
             found.add(subset)
-    assert found == {s.elements for s in all_subgroups(g)}
+    assert found == closed_subsets
+    assert {s.elements for s in all_subgroups(g)} == closed_subsets
+    assert set(_subgroup_elements(g)) == closed_subsets
+
+
+# -- dense references for the closure and the annihilator ---------------------
+
+
+def _dense_closed(g, elements):
+    """K + K inside K, checked on the whole |K| x |K| table of sums."""
+    arr = np.asarray(elements, dtype=np.int64)
+    member = np.zeros(g.order, dtype=bool)
+    member[arr] = True
+    return bool(member[_add(g, arr[:, None], arr[None, :])].all())
+
+
+def _dense_annihilator(g, elements):
+    """Every y whose pairing phase is 0 on every given element (all of G for none)."""
+    idx = np.asarray(elements, dtype=np.int64)
+    if idx.size == 0:
+        return tuple(range(g.order))
+    phases = phase_matrix(g, idx, np.arange(g.order))
+    return tuple(np.flatnonzero((phases == 0).all(axis=0)).tolist())
+
+
+_ORACLE_GROUPS = [(8,), (2, 4), (3, 3), (2, 2, 2, 2), (4, 6), (27,)]
+
+
+def _random_subsets(g, count, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        size = int(rng.integers(0, g.order + 1))
+        yield tuple(int(i) for i in rng.choice(g.order, size=size, replace=False))
+
+
+@pytest.mark.parametrize("orders", _ORACLE_GROUPS, ids=str)
+def test_closure_and_annihilator_from_generators_match_the_dense_ones(orders):
+    g = FiniteAbelianGroup(orders)
+    subgroups = [s.elements for s in all_subgroups(g)]
+    for subset in subgroups + list(_random_subsets(g, 200, seed=g.order)):
+        with_zero = tuple(sorted(set(subset) | {0}))
+        try:
+            Subgroup(g, with_zero)
+        except InvalidSubgroupError as exc:
+            assert str(exc) == "element set is not closed under addition"
+            assert not _dense_closed(g, with_zero), with_zero
+        else:
+            assert _dense_closed(g, with_zero), with_zero
+        assert annihilator(g, subset).elements == _dense_annihilator(g, subset), subset
+    for elements in subgroups:
+        sub = Subgroup(g, elements)
+        assert annihilator(g, sub).elements == _dense_annihilator(g, elements)
+        assert annihilator(g, annihilator(g, sub)) == sub
+
+
+def test_inspect_counts_the_subgroups_of_z2_to_the_sixth():
+    assert run_inspect([2] * 6)["details"]["subgroup_count"] == 2825
+
+
+def test_full_group_closure_allocates_far_below_a_square_table():
+    g = FiniteAbelianGroup((16, 16, 16))
+    Subgroup.full(g)  # fills the O(|G|) coordinate caches
+    tracemalloc.start()
+    try:
+        sub = Subgroup.full(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sub.order == g.order
+    # the |K| x |K| table of sums of the full group takes 4096^2 indices
+    assert peak < g.order * g.order // 4
 
 
 def test_order_4096_multiplication_allocates_far_below_a_square_table():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import qchar.polynomials as polynomials
 from qchar.elimination import EliminationProblem, run_pexider_chain
-from qchar.groups import Automorphism, FiniteAbelianGroup, groups_up_to_order
+from qchar.groups import Automorphism, FiniteAbelianGroup, _add, _neg_table, groups_up_to_order
 from qchar.polynomials import (
     GROUP_POLY_TOL,
     WINDOW_POLY_TOL,
@@ -113,6 +113,45 @@ def test_quadratic_check_requires_even():
     f = tabulate(5, 1, lambda x: float(x ** 3))
     with pytest.raises(ValueError):
         quadratic_check(f)
+
+
+def _dense_quadratic_residual(f):
+    """The parallelogram defect on every admissible pair at once, as one array."""
+    vals = np.asarray(f.values, dtype=np.float64)
+    if isinstance(f, GroupFunction):
+        g = f.group
+        u = np.arange(g.order)[:, None]
+        neg = _neg_table(g)
+        resid = (vals[_add(g, u, u.T)] + vals[_add(g, u, neg[None, :])]
+                 - 2.0 * vals[:, None] - 2.0 * vals[None, :])
+        return float(np.abs(resid).max())
+    N, pts, flat = f.window.radius, f.window.points(), vals.ravel()
+    s = pts[:, None, :] + pts[None, :, :]
+    d = pts[:, None, :] - pts[None, :, :]
+    iu, iv = np.where((np.abs(s) <= N).all(axis=2) & (np.abs(d) <= N).all(axis=2))
+    strides = np.array([f.window.side ** k for k in range(f.window.dim - 1, -1, -1)])
+    resid = (flat[(s[iu, iv] + N) @ strides] + flat[(d[iu, iv] + N) @ strides]
+             - 2.0 * flat[(pts[iu] + N) @ strides] - 2.0 * flat[(pts[iv] + N) @ strides])
+    return float(np.abs(resid).max())
+
+
+@pytest.mark.parametrize("case", ["z257", "z16xz16", "radius-300", "radius-12-dim-2"])
+def test_blocked_quadratic_check_is_bitwise_the_dense_one(case):
+    # 66049, 65536, 361201 and 390625 pairs: several blocks of BLOCK_ENTRIES
+    rng = np.random.default_rng(7)
+    if case.startswith("z"):
+        g = FiniteAbelianGroup({"z257": (257,), "z16xz16": (16, 16)}[case])
+        vals = rng.random(g.order)
+        vals = vals + vals[_neg_table(g)]  # even
+        vals[0] = 0.0
+        f = GroupFunction(g, vals)
+    else:
+        radius, dim = {"radius-300": (300, 1), "radius-12-dim-2": (12, 2)}[case]
+        vals = rng.random((2 * radius + 1,) * dim)
+        vals = vals + vals[(slice(None, None, -1),) * dim]  # even
+        vals[(radius,) * dim] = 0.0
+        f = WindowFunction(IntegerWindow(radius, dim), vals)
+    assert quadratic_check(f) == _dense_quadratic_residual(f) > 0.0
 
 
 def test_monomials_and_eval():
