@@ -244,9 +244,8 @@ def sd_conclude(inst: SDInstance, tol: float = CHECK_TOL) -> SDConclusion:
     trace = run_pexider_chain(problem)
     p_total = GroupFunction(group, sum(_log_sq_modulus(f) for f in inst.cfs))
     constancy = constancy_check(p_total)
-    verdicts = _degenerate_verdicts(group, inst.cfs, tol)
-    return SDConclusion(equation_residual=resid, verdicts=verdicts,
-                        trace=trace, constancy=constancy)
+    return SDConclusion(equation_residual=resid, trace=trace, constancy=constancy,
+                        verdicts=_degenerate_verdicts(group, inst.cfs, tol))
 
 
 # ---- conditional symmetry of a transformed pair ---------------------------

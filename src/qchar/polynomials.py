@@ -363,16 +363,17 @@ def quadratic_check(f, tol: float = 1e-12) -> float:
         raise ValueError("f(0) must vanish")
     if not within(peak(vals[tuple(slice(None, None, -1) for _ in range(w.dim))] - vals), tol):
         raise ValueError("f must be even")
-    pts = w.points()
-    flat = vals.ravel()
-    strides = w.side ** np.arange(w.dim - 1, -1, -1)
+    pts, flat = np.abs(w.points()), vals.ravel()
+    # (u, v) is admissible when |v| <= N - |u| on every axis; then the flat
+    # indices of u + v and u - v are u + v - c and u - v + c, c that of 0
+    c, v = flat.size // 2, np.arange(flat.size)
 
     def defect(u):
-        s, d = pts[u] + pts, pts[u] - pts
-        iu, iv = np.nonzero((np.abs(s) <= N).all(axis=2) & (np.abs(d) <= N).all(axis=2))
-        return (flat[(s[iu, iv] + N) @ strides] + flat[(d[iu, iv] + N) @ strides]
-                - 2.0 * flat[u[iu, 0]] - 2.0 * flat[iv])
-    return _pair_peak(len(pts), len(pts), defect)
+        ok = (pts <= N - pts[u]).all(axis=2)
+        resid = (flat[np.where(ok, u + v - c, c)] + flat[np.where(ok, u - v + c, c)]
+                 - 2.0 * flat[u] - 2.0 * flat)
+        return np.where(ok, resid, 0.0)
+    return _pair_peak(flat.size, flat.size, defect)
 
 
 def monomials_up_to(dim: int, degree: int) -> list[tuple[int, ...]]:
