@@ -363,13 +363,13 @@ def quadratic_check(f, tol: float = 1e-12) -> float:
         raise ValueError("f(0) must vanish")
     if not within(peak(vals[tuple(slice(None, None, -1) for _ in range(w.dim))] - vals), tol):
         raise ValueError("f must be even")
-    pts, flat = np.abs(w.points()), vals.ravel()
+    mag, flat = np.abs(w.points()), vals.ravel()
     # (u, v) is admissible when |v| <= N - |u| on every axis; then the flat
     # indices of u + v and u - v are u + v - c and u - v + c, c that of 0
     c, v = flat.size // 2, np.arange(flat.size)
 
     def defect(u):
-        ok = (pts <= N - pts[u]).all(axis=2)
+        ok = (mag <= N - mag[u]).all(axis=2)
         resid = (flat[np.where(ok, u + v - c, c)] + flat[np.where(ok, u - v + c, c)]
                  - 2.0 * flat[u] - 2.0 * flat)
         return np.where(ok, resid, 0.0)
