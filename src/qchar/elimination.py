@@ -171,6 +171,23 @@ def substitute_and_subtract(F, shift):
     raise TypeError(f"unsupported square function {type(F).__name__}")
 
 
+def _square_radius(terms, r_radius: int | None = None) -> int:
+    """Radius of a window chain's square: R's when given, else the largest that
+    terms (data radius, a, c) reach; over ``SQUARE_RADIUS_CAP`` it raises."""
+    radius = min(r // (abs(a) + abs(c)) for r, a, c in terms) if r_radius is None else r_radius
+    if radius > SQUARE_RADIUS_CAP:
+        raise SizeLimitError(f"square radius {radius} exceeds the cap {SQUARE_RADIUS_CAP}")
+    return radius
+
+
+def _heyde_scalars(b: int) -> list:
+    """(a, c) of Heyde's two window terms; b = 0 or -1 breaks invertibility."""
+    if b == 0 or b + 1 == 0:
+        raise KernelConditionError(f"scalar coefficient b={b} breaks invertibility",
+                                   kernel_element=b)
+    return [(1 + b, 2), (2 * b, 1 + b)]
+
+
 # ---- domains --------------------------------------------------------------
 #
 # A domain keeps functions on the base domain as 1-d float arrays and on the
@@ -223,12 +240,13 @@ class _GroupDomain:
 
     def diff(self, f, *shift):
         """D_shift f for a block of shifts, on G (one element each) or on G x G (a pair)."""
-        if len(shift) == 1:
-            return difference(f, self.add[shift[0]])
         n = self.group.order
-        move = self.add[shift[0]][:, :, None] * n + self.add[shift[1]][:, None, :]
-        moved = difference(f.reshape(*f.shape[:-2], n * n), move.reshape(-1, n * n))
-        return moved.reshape(move.shape)
+        # a block of rows reads its own row: row b starts at b n^len(shift)
+        rows = np.arange(0, f.size, n ** len(shift))[:, None] if f.ndim > len(shift) else 0
+        if len(shift) == 1:
+            return difference(f, self.add[shift[0]] + rows)
+        s, t = self.add[shift[0]], self.add[shift[1]]
+        return difference(f, (s * n + rows)[:, :, None] + t[:, None, :])
 
     @staticmethod
     def peaks(f):
@@ -264,13 +282,8 @@ class _WindowDomain:
         max_h = max(abs(h) for h, _ in self.shifts)
         max_shift = max(max(abs(h), abs(k)) for _, a, c in terms
                         for h, k in self.cancel_shifts(a, c).items())
-        if R is not None:
-            self.radius = R.window.radius
-        else:
-            self.radius = min(_radius(psi) // (abs(a) + abs(c)) for psi, a, c in terms)
-        if self.radius > SQUARE_RADIUS_CAP:
-            raise SizeLimitError(
-                f"square radius {self.radius} exceeds the cap {SQUARE_RADIUS_CAP}")
+        self.radius = _square_radius([(_radius(psi), a, c) for psi, a, c in terms],
+                                    None if R is None else R.window.radius)
         required = (len(terms) + 1) * max_shift + (l + 1) * max_h + l + 2
         if self.radius < required:
             raise WindowExhaustedError(
@@ -478,11 +491,7 @@ def run_heyde_chain(psi1, psi2, b, R=None, r_degree: int = 0,
                 )
         terms = [(_floats(psi1), one_plus_b, two), (_floats(psi2), two[b], one_plus_b)]
     else:
-        b = int(b)
-        if b == 0 or b + 1 == 0:
-            raise KernelConditionError(f"scalar coefficient b={b} breaks invertibility",
-                                       kernel_element=b)
-        terms = [(_floats(psi1), 1 + b, 2), (_floats(psi2), 2 * b, 1 + b)]
+        terms = [(_floats(psi), a, c) for psi, (a, c) in zip((psi1, psi2), _heyde_scalars(int(b)))]
         dom = _WindowDomain(terms, R, l)
     (v1, a1, c1), (v2, a2, c2) = terms
     y, zero = dom.points, dom.zero

@@ -16,9 +16,12 @@ certificate's ``coefficients`` are fitted on first read and cached.
 ``difference`` is the one shifted difference, on plain arrays; the degree
 scans and the elimination chains both use it.  A scan runs its shifts in
 blocks along a leading batch axis, at most ``BLOCK_ENTRIES`` entries an
-array, and each entry is the same subtraction as one shift at a time.  It
-stops a degree at the first shift whose peak fails ``within``, since a
-failing degree's residual is never reported.
+array, and each entry is the same subtraction as one shift at a time.  A
+window scan runs its shifts by ring max |h|, largest first, and takes the
+k-th difference of a block only on the box of radius N - k m (m its
+smallest ring) that the peaks read.  A failing degree's residual is never
+reported, so a scan returns the first failing peak in product order once
+every shift before it is in: on a window almost always at the first shift.
 
 Residuals are taken with ``peak``, which propagates NaN, and compared with
 ``within``, which is False for NaN, so non-finite data never certify.
@@ -190,17 +193,17 @@ def _centre(values, r):
 def difference(values, move):
     """f(x + h) - f(x) on a plain array of values.
 
-    On a group, ``move`` is an index array holding x + h at every flat index
-    x; leading axes of ``values`` and ``move`` broadcast, so one call
-    differences a block of shifts.  On a centred window, ``move`` is the
-    shift h, one integer per axis, and the window shrinks by max |h| at each
-    end.
+    With an index array, ``move`` holds the flat index in ``values`` of x + h
+    for every entry x of the result, which has its shape, and an index past
+    either end reads that end.  f(x) is ``values`` (on a window, its centred
+    box of the result's side), broadcast along leading axes.  On a centred
+    window, ``move`` may instead be the shift h, one integer per axis, and the
+    window shrinks by max |h| at each end.
     """
     if isinstance(move, np.ndarray):
-        if values.ndim == move.ndim > 1:  # a batch of rows: row b reads row b
-            move = move + np.arange(0, values.size, values.shape[-1]).reshape(-1, 1)
-        moved = values.reshape(-1).take(move)
-        moved -= values
+        moved = values.reshape(-1).take(move, mode="clip")
+        c = (values.shape[-1] - move.shape[-1]) // 2  # 0 on a group
+        moved -= values[(..., *[slice(c, values.shape[-1] - c)] * (move.ndim - 1))] if c else values
         return moved
     r = _radius(values) - max(abs(c) for c in move)
     if r < 0:
@@ -234,57 +237,86 @@ def _blocks(count: int, size: int):
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
 
-def _shift_peaks(f, n: int):
-    """Peaks of the (n+1)-fold difference at the admissible shifts, in order, one array per block.
+def _window_peaks(f, n: int, shifts, rings):
+    """Peaks of the (n+1)-fold difference at a block of shifts, rings descending.
 
-    A window is differenced as its flat array with x + h clipped to it.  An
-    entry whose chain of shifts leaves the window comes out wrong, so only
-    the centred box where every chain stays inside enters the peak.
+    The k-th difference covers the box of radius N - k m, m the smallest ring.
+    A larger ring reads past the window beyond its own box, which its peak leaves out.
     """
-    vals = np.asarray(f.values).ravel()
-    x = np.arange(vals.size)
-    on_group = isinstance(f, GroupFunction)
-    if on_group:
-        shifts = np.arange(1, f.group.order)[:, None]
-    else:
-        N, m = f.window.radius, f.window.dim
-        if N < n + 2:
-            raise WindowExhaustedError(
-                f"radius {N} too small for degree-{n} test (needs >= {n + 2})")
-        reach = N // (n + 1)
-        shifts = np.array(list(itertools.product(range(-reach, reach + 1), repeat=m)))
-        shifts = shifts[shifts.any(axis=1)]
-        offsets = shifts @ f.window.side ** np.arange(m - 1, -1, -1)
-        radii = N - (n + 1) * np.abs(shifts).max(axis=1)
-        from_centre = np.abs(np.indices(f.values.shape) - N).max(axis=0).ravel()
-    for block in _blocks(len(shifts), BLOCK_ENTRIES // vals.size):
-        if on_group:
-            move, inside = _add(f.group, x, shifts[block]), True
-        else:
-            move = np.clip(x + offsets[block, None], 0, x.size - 1)
-            inside = from_centre <= radii[block, None]
-        d = vals
-        for _ in range(n + 1):
-            d = difference(d, move)
-        yield np.where(inside, np.abs(d), 0.0).max(axis=1)
+    N, dim, low, d = f.window.radius, f.window.dim, int(rings[-1]), f.values
+    for k in range(n + 1):
+        side = d.shape[-1]
+        box = np.arange(side ** dim).reshape((side,) * dim)[(slice(low, side - low),) * dim]
+        # the flat index of x + h; after the first round, row b of the block reads row b of d
+        start = shifts @ [side ** j for j in range(dim - 1, -1, -1)]
+        start += np.arange(len(shifts)) * (k > 0) * d[0].size
+        d = difference(d, box + start.reshape(-1, *(1,) * dim))
+    peaks = np.abs(d).reshape(len(shifts), -1)
+    if rings[0] > low:
+        from_centre = np.abs(np.indices(d.shape[1:]) - (N - (n + 1) * low)).max(axis=0).ravel()
+        peaks = np.where(from_centre <= N - (n + 1) * rings[:, None], peaks, 0.0)
+    return peaks.max(axis=1)
+
+
+def _shift_peaks(f, n: int):
+    """(places, peaks) of the (n+1)-fold difference, a block of shifts at a time.
+
+    places are the shifts' positions in product order, the order a group runs
+    them in.  A window runs (-reach, ..., -reach) alone, then makes the rest
+    and runs them by ring |h|, largest first and in product order within a
+    ring, each block holding at most ``BLOCK_ENTRIES`` entries of the box its
+    first difference covers.
+    """
+    if isinstance(f, GroupFunction):
+        vals = np.asarray(f.values)
+        for block in _blocks(f.group.order - 1, BLOCK_ENTRIES // vals.size):
+            at = np.arange(block.start, block.stop)
+            move = _add(f.group, np.arange(vals.size), at[:, None] + 1)
+            d = difference(vals, move)
+            move += np.arange(0, move.size, vals.size)[:, None]  # later rounds read their own row
+            for _ in range(n):
+                d = difference(d, move)
+            yield at, np.abs(d).max(axis=1)
+        return
+    N, dim = f.window.radius, f.window.dim
+    if N < n + 2:
+        raise WindowExhaustedError(f"radius {N} too small for degree-{n} test (needs >= {n + 2})")
+    reach = N // (n + 1)
+    yield np.zeros(1, dtype=np.int64), _window_peaks(f, n, np.full((1, dim), -reach), [reach])
+    grid = np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
+    order = np.argsort(-np.abs(grid).max(axis=1), kind="stable")[1:-1]  # 0 is the last
+    places, shifts = order - (order > len(grid) // 2), grid[order]
+    rings = np.abs(shifts).max(axis=1)
+    # shift j fits a block from a when j - a < its fit, and j - fit increases with j
+    last = np.arange(len(order)) - BLOCK_ENTRIES // (2 * (N - rings) + 1) ** dim
+    a = 0
+    while a < len(order):
+        b = max(a + 1, int(np.searchsorted(last, a)))
+        yield places[a:b], _window_peaks(f, n, shifts[a:b], rings[a:b])
+        a = b
 
 
 def _poly_residual(f, n: int, tol=None) -> float:
     """Largest (n+1)-fold difference over all admissible shifts.
 
-    With ``tol`` it returns the first shift's peak that fails ``within``: a
-    failing degree is decided there, and its residual is never reported.
+    With ``tol`` it returns the peak of the first shift in product order that
+    fails ``within``: a failing degree is decided there, and its residual is
+    never reported.  The scan stops once every shift before that one is in.
     """
     if n == 0 and isinstance(f, GroupFunction):
         vals = f.values
         if vals.dtype.kind == "f" and np.isfinite(vals).all():
             return float(abs(vals.max() - vals.min()))
-    seen = []
-    for peaks in _shift_peaks(f, n):
-        failing = np.flatnonzero(~(peaks <= tol)) if tol is not None else ()
-        if len(failing):
-            return float(peaks[failing[0]])
+    seen, places, failed = [], [], False
+    for at, peaks in _shift_peaks(f, n):
         seen.append(peaks)
+        places.append(at)
+        failed = failed or (tol is not None and not (peaks <= tol).all())
+        if failed:
+            at, peaks = np.concatenate(places), np.concatenate(seen)
+            first = at[~(peaks <= tol)].min()
+            if np.count_nonzero(at < first) == first:  # every earlier shift is in, and passed
+                return float(peaks[at == first][0])
     return peak(np.concatenate(seen or [[]]))
 
 

@@ -36,7 +36,14 @@ from .circle import (
     gaussian_distribution,
     sum_difference_joint,
 )
-from .elimination import SQUARE_RADIUS_CAP, EliminationProblem, run_heyde_chain, run_pexider_chain
+from .elimination import (
+    SQUARE_RADIUS_CAP,
+    EliminationProblem,
+    _heyde_scalars,
+    _square_radius,
+    run_heyde_chain,
+    run_pexider_chain,
+)
 from .errors import (
     ConstructionRejectedError,
     FactorizationError,
@@ -364,14 +371,16 @@ def _coefficients(spec: dict) -> dict:
     return {tuple(int(e) for e in key.split(",")): _at(spec, key, _float) for key in spec}
 
 
-def _window(dim: int, spec) -> WindowFunction:
+def _window(dim: int, spec):
+    """The window function, as a callable: a chain checks its square cap from the
+    radii before it evaluates coefficients on up to millions of points."""
     win = IntegerWindow(int(spec["radius"]), dim)
     if "values" in spec:
         rows = _floats if dim == 1 else lambda rows: np.asarray(_each(_floats, rows))
-        return _at(spec, "values", lambda values: WindowFunction(win, rows(values)))
+        f = _at(spec, "values", lambda values: WindowFunction(win, rows(values)))
+        return lambda: f
     coeffs = _at(spec, "coefficients", _coefficients)
-    vals = np.asarray(poly_eval(coeffs, win.points()), dtype=np.float64)
-    return WindowFunction(win, vals.reshape((win.side,) * dim))
+    return lambda: WindowFunction(win, poly_eval(coeffs, win.points()).reshape((win.side,) * dim))
 
 
 def _even_poly(spec) -> EvenPolynomial:
@@ -552,6 +561,11 @@ def _run_pexider_chain(payload: dict, tol: float) -> tuple[str, dict]:
             R = _at(payload, "R", _window, 2)
     terms = _at(payload, "terms", _each, term)
     try:
+        if "group" not in payload:
+            if all(b for _, b in terms):  # a zero coefficient fails first, as not invertible
+                _square_radius([(int(t["psi"]["radius"]), 1, b) for t, (_, b) in
+                                zip(payload["terms"], terms)], R and int(payload["R"]["radius"]))
+            terms, R = [(psi(), b) for psi, b in terms], R and R()
         problem = EliminationProblem(terms=tuple(terms), r_degree=int(payload.get("r_degree", 0)),
                                      R=R)
         return _conclude(run_pexider_chain, problem)
@@ -569,6 +583,10 @@ def _run_heyde_chain(payload: dict, tol: float) -> tuple[str, dict]:
         psis = [_at(payload, key, _window, 1) for key in ("psi1", "psi2")]
         b = int(payload["b"])
     try:
+        if "group" not in payload:
+            _square_radius([(int(payload[key]["radius"]), a, c)
+                            for key, (a, c) in zip(("psi1", "psi2"), _heyde_scalars(b))])
+            psis = [psi() for psi in psis]
         return _conclude(run_heyde_chain, *psis, b, r_degree=int(payload.get("r_degree", 0)))
     except KernelConditionError as exc:
         ke = exc.kernel_element

@@ -161,6 +161,50 @@ def test_window_chain_runs_at_the_square_cap(tmp_path, capsys):
     assert rep["details"]["reason"] == "square radius 1024 exceeds the cap 1023"
 
 
+_EVEN_50 = {str(2 * k): 1.0 for k in range(50)}
+
+
+@pytest.mark.parametrize("payload, report", [
+    ({"psi1": {"radius": 2095104, "coefficients": _EVEN_50},
+      "psi2": {"radius": 2095104, "coefficients": {"2": 1.0}}, "b": 1},
+     '{"details":{"reason":"square radius 523776 exceeds the cap 1023"},"expected":"pass",'
+     '"kind":"heyde-chain","matched":false,"name":"cap","schema":"qchar-report-1",'
+     '"verdict":"fail"}'),
+    ({"terms": [{"psi": {"radius": 2095104, "coefficients": _EVEN_50}, "b": 1},
+                {"psi": {"radius": 2095104, "coefficients": {"2": 1.0}}, "b": 2}]},
+     '{"details":{"reason":"square radius 698368 exceeds the cap 1023"},"expected":"pass",'
+     '"kind":"pexider-chain","matched":false,"name":"cap","schema":"qchar-report-1",'
+     '"verdict":"fail"}'),
+], ids=["heyde", "pexider"])
+def test_square_cap_is_decided_before_coefficient_windows(payload, report):
+    # evaluating these windows fills 4.2M points each, about 20 s
+    kind = "heyde-chain" if "b" in payload else "pexider-chain"
+    scn = {"schema": "qchar-scenario-1", "kind": kind, "name": "cap", "payload": payload}
+    Draft202012Validator(DOCUMENT_SCHEMA).validate(scn)
+    start = time.perf_counter()
+    assert canonical_json(run_scenario(scn)) == report
+    assert time.perf_counter() - start < 1.0
+
+
+def test_kernel_and_zero_coefficient_outrank_the_square_cap():
+    big = {"radius": 2095104, "coefficients": _EVEN_50}
+    for b in (0, -1):
+        rep = run_scenario({"schema": "qchar-scenario-1", "kind": "heyde-chain",
+                            "payload": {"psi1": big, "psi2": big, "b": b}})
+        assert rep["verdict"] == "counterexample"
+        assert rep["details"]["kernel_element"] == b
+    # with b = 0 allowed, the square radius would be 4096 // 2 = 2048, past the cap
+    wide = {"radius": 4096, "coefficients": {"2": 1.0}}
+    rep = run_scenario({"schema": "qchar-scenario-1", "kind": "pexider-chain", "payload": {
+        "terms": [{"psi": wide, "b": 0}, {"psi": wide, "b": 1}]}})
+    assert rep["details"] == {"reason": "zero coefficient is not invertible"}
+    # a given R sets the square radius, here inside the cap
+    rep = run_scenario({"schema": "qchar-scenario-1", "kind": "pexider-chain", "payload": {
+        "terms": [{"psi": {"radius": 8, "coefficients": {"2": 1.0}}, "b": 1}],
+        "R": {"radius": 1, "dim": 2, "coefficients": {}}}})
+    assert "below chain requirement" in rep["details"]["reason"]
+
+
 @pytest.mark.parametrize("name, edit, where", [
     ("window-two-terms", lambda p: p.update(R={"radius": 1024, "dim": 2, "coefficients": {}}),
      "$.payload.R.radius: 1024 is greater than the maximum of 1023"),

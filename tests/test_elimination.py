@@ -306,3 +306,21 @@ def test_blocked_sweep_matches_the_per_shift_loop(monkeypatch, block_entries):
     failures = [o for o in outcomes if isinstance(o, tuple)]
     assert failures and all("at shift" in msg for msg, _ in failures)
     assert any("at shift [1, 0]" in msg for msg, _ in failures)
+
+
+@pytest.mark.parametrize("block_entries", [1, 727, elimination.BLOCK_ENTRIES])
+@pytest.mark.parametrize("orders", [(2, 4, 3), (61,)])
+def test_group_square_difference_matches_a_per_shift_gather(monkeypatch, orders, block_entries):
+    monkeypatch.setattr(elimination, "BLOCK_ENTRIES", block_entries)
+    dom = elimination._GroupDomain(FiniteAbelianGroup(orders))
+    n, add = dom.group.order, dom.add
+    rng = np.random.default_rng(17)
+    f = rng.standard_normal((n, n))
+    for block in elimination._blocks(len(dom.shifts), dom.block):
+        s = np.arange(block.start + 1, block.stop + 1)
+        t = dom.neg[s]  # the collapse pair (h, -h)
+        rows = rng.standard_normal((len(s), n, n))  # a block of differenced rows
+        for got, base in ((dom.diff(f, s, t), [f] * len(s)), (dom.diff(rows, s, t), rows)):
+            want = np.stack([g[add[a]][:, add[b]] - g for g, a, b in zip(base, s, t)])
+            assert got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))

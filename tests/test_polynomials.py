@@ -381,6 +381,17 @@ def _oracle_cases():
             hit = vals.copy()
             hit.flat[int(rng.integers(hit.size))] = bad
             cases.append(WindowFunction(IntegerWindow(N, m), hit))
+    for N in (12, 16, 20):  # the radii of the cross-term crops in the chains
+        x, y = np.indices((2 * N + 1,) * 2) - N
+        cubic = float(rng.integers(1, 4)) * x ** 3 - 2.0 * x * y ** 2 + y
+        for vals in (np.full(x.shape, 2.5), 3.0 * x ** 2 - x * y + 2.0 * y - 1.0, cubic,
+                     cubic + 1e-9 * rng.standard_normal(x.shape)):
+            cases.append(WindowFunction(IntegerWindow(N, 2), np.asarray(vals, dtype=float)))
+    x, y, z = np.indices((13,) * 3) - 6
+    cases.append(WindowFunction(IntegerWindow(6, 3), (x * y * z + x ** 2 - 3.0 * z).astype(float)))
+    # at n = 0 the first shift (-N, -N) reads only the centre, so x y - y^2 passes it
+    x, y = np.indices((9, 9)) - 4
+    cases.append(WindowFunction(IntegerWindow(4, 2), (x * y - y ** 2).astype(float)))
     for orders in [(1,), (5,), (2, 6), (7, 7), (2, 2, 4), (3, 9)]:
         g = FiniteAbelianGroup(orders)
         base = [rng.standard_normal(g.order), np.full(g.order, 0.5),
@@ -439,3 +450,39 @@ def test_failing_degree_stops_at_its_first_failing_shift(monkeypatch):
     assert polynomials._poly_residual(f, 1, WINDOW_POLY_TOL) > WINDOW_POLY_TOL
     # one block of one shift, differenced twice
     assert [s[0] for s in seen] == [1, 1]
+
+
+@pytest.mark.parametrize("block_entries", [1, polynomials.BLOCK_ENTRIES])
+def test_first_failing_shift_in_product_order_decides_a_later_block(monkeypatch, block_entries):
+    # n = 0 on [-4, 4]^2: ring 4 is scanned first and fails only at (4, 4),
+    # with peak 5; the first failing shift in product order is (-3, -3) in
+    # ring 3, with peak 1
+    monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", block_entries)
+    vals = np.zeros((9, 9))
+    vals[1, 1], vals[8, 8] = 1.0, 5.0
+    f = WindowFunction(IntegerWindow(4, 2), vals)
+    want = _ref_residual(f, 0, WINDOW_POLY_TOL)
+    assert want == 1.0 and polynomials.peak(_ref_peaks(f, 0)) == 5.0
+    assert _same_bits(polynomials._poly_residual(f, 0, WINDOW_POLY_TOL), want)
+
+
+def test_window_scan_differences_only_the_boxes_its_peaks_read(monkeypatch):
+    # the radius-20 crop of a degree-3 cross term, as the chains certify it
+    N = 20
+    x, y = np.indices((2 * N + 1,) * 2) - N
+    f = WindowFunction(IntegerWindow(N, 2), (x ** 3 - 2.0 * x * y ** 2 + y).astype(float))
+    seen = []
+    real = polynomials.difference
+
+    def counting(values, move):
+        seen.append(np.shape(move))
+        return real(values, move)
+
+    monkeypatch.setattr(polynomials, "difference", counting)
+    assert polynomials._poly_residual(f, 3, WINDOW_POLY_TOL) <= WINDOW_POLY_TOL
+    # differencing all 120 shifts on the whole window, 4 rounds each, takes
+    # 806880 entries; the boxes the peaks read hold 301280
+    assert sum(int(np.prod(s)) for s in seen) <= 806880 // 2
+    seen.clear()
+    assert polynomials._poly_residual(f, 0, WINDOW_POLY_TOL) > WINDOW_POLY_TOL
+    assert [s[0] for s in seen] == [1]
