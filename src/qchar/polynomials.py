@@ -244,12 +244,12 @@ def _window_peaks(f, n: int, shifts, rings):
     A larger ring reads past the window beyond its own box, which its peak leaves out.
     """
     N, dim, low, d = f.window.radius, f.window.dim, int(rings[-1]), f.values
-    for k in range(n + 1):
-        side = d.shape[-1]
+    sides = 2 * (N - low * np.arange(n + 1)) + 1  # of d, round by round
+    # the flat offset of h; after the first round, row b of the block reads row b of d
+    starts = sides[:, None] ** np.arange(dim - 1, -1, -1) @ shifts.T
+    starts[1:] += sides[1:, None] ** dim * np.arange(len(shifts))
+    for side, start in zip(sides.tolist(), starts):
         box = np.arange(side ** dim).reshape((side,) * dim)[(slice(low, side - low),) * dim]
-        # the flat index of x + h; after the first round, row b of the block reads row b of d
-        start = shifts @ [side ** j for j in range(dim - 1, -1, -1)]
-        start += np.arange(len(shifts)) * (k > 0) * d[0].size
         d = difference(d, box + start.reshape(-1, *(1,) * dim))
     peaks = np.abs(d).reshape(len(shifts), -1)
     if rings[0] > low:
