@@ -244,13 +244,14 @@ def _window_peaks(f, n: int, shifts, rings):
     A larger ring reads past the window beyond its own box, which its peak leaves out.
     """
     N, dim, low, d = f.window.radius, f.window.dim, int(rings[-1]), f.values
-    sides = 2 * (N - low * np.arange(n + 1)) + 1  # of d, round by round
+    sides = np.arange(2 * N + 1, 2 * (N - n * low), -2 * low)  # of d, round by round
     # the flat offset of h; after the first round, row b of the block reads row b of d
-    starts = sides[:, None] ** np.arange(dim - 1, -1, -1) @ shifts.T
-    starts[1:] += sides[1:, None] ** dim * np.arange(len(shifts))
+    scale = sides[:, None] ** np.arange(dim - 1, -1, -1)
+    starts = scale @ shifts.T
+    starts[1:] += np.outer(scale[1:, 0] * sides[1:], np.arange(len(shifts)))
     for side, start in zip(sides.tolist(), starts):
         box = np.arange(side ** dim).reshape((side,) * dim)[(slice(low, side - low),) * dim]
-        d = difference(d, box + start.reshape(-1, *(1,) * dim))
+        d = difference(d, box.copy() + start.reshape(-1, *(1,) * dim))
     peaks = np.abs(d).reshape(len(shifts), -1)
     if rings[0] > low:
         from_centre = np.abs(np.indices(d.shape[1:]) - (N - (n + 1) * low)).max(axis=0).ravel()
