@@ -241,7 +241,7 @@ def _window_peaks(f, n: int, shifts, rings):
     """Peaks of the (n+1)-fold difference at a block of shifts, rings descending.
 
     The k-th difference covers the box of radius N - k m, m the smallest ring.
-    A larger ring reads past the window beyond its own box, which its peak leaves out.
+    Entries of a larger ring beyond its own box come out wrong and are left out.
     """
     N, dim, low, d = f.window.radius, f.window.dim, int(rings[-1]), f.values
     sides = np.arange(2 * N + 1, 2 * (N - n * low), -2 * low)  # of d, round by round
@@ -285,7 +285,7 @@ def _shift_peaks(f, n: int):
     reach = N // (n + 1)
     yield np.zeros(1, dtype=np.int64), _window_peaks(f, n, np.full((1, dim), -reach), [reach])
     grid = np.indices((2 * reach + 1,) * dim).reshape(dim, -1).T - reach
-    order = np.argsort(-np.abs(grid).max(axis=1), kind="stable")[1:-1]  # 0 is the last
+    order = np.argsort(-np.abs(grid).max(axis=1), kind="stable")[1:-1]  # skip (-reach, ...) and 0
     places, shifts = order - (order > len(grid) // 2), grid[order]
     rings = np.abs(shifts).max(axis=1)
     # shift j fits a block from a when j - a < its fit, and j - fit increases with j
