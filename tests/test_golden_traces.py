@@ -4,6 +4,12 @@
 its ``EliminationTrace.to_dict()``.  The data are non-integer, so every
 residual in those traces is a non-zero float and any reordering of the
 chain's arithmetic shows up as changed bytes.
+
+``golden/constant_chain_traces.json`` does the same for group chains whose
+cross term R is exactly constant, with a twin whose R is one ulp off the
+remainder in one entry.
+
+Regenerate both with ``PYTHONPATH=src python tests/test_golden_traces.py``.
 """
 
 import json
@@ -12,13 +18,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qchar.characterizers import SDInstance, sd_conclude
 from qchar.cli import canonical_json
 from qchar.elimination import EliminationProblem, run_heyde_chain, run_pexider_chain
 from qchar.errors import WindowExhaustedError
 from qchar.groups import Automorphism, FiniteAbelianGroup, GroupHom
+from qchar.measures import char_fn, degenerate
 from qchar.polynomials import GroupFunction, IntegerWindow, WindowFunction
 
 GOLDEN = Path(__file__).parent / "golden" / "chain_traces.json"
+CONSTANT_GOLDEN = Path(__file__).parent / "golden" / "constant_chain_traces.json"
 
 
 def _poly(coeffs, radius):
@@ -85,14 +94,62 @@ CHAINS = {
 }
 
 
+Z61 = FiniteAbelianGroup((61,))
+Z63 = FiniteAbelianGroup((63,))
+Z4xZ4xZ4 = FiniteAbelianGroup((4, 4, 4))
+
+
+def _constant_problem(group, values, auts, r_degree=0, R=None):
+    terms = [(GroupFunction(group, np.full(group.order, v)), aut) for v, aut in zip(values, auts)]
+    return EliminationProblem(terms=terms, r_degree=r_degree, R=R)
+
+
+def _z61_problem(R=None):
+    mul = Automorphism.multiplication
+    return _constant_problem(Z61, [0.7, -0.35, 1.25], [mul(Z61, m) for m in (2, 5, 11)], R=R)
+
+
+def _one_ulp_cross_term():
+    """The Z_61 chain's remainder (all 0.0) with one entry one ulp above it."""
+    values = np.zeros(Z61.order ** 2)
+    values[7 * Z61.order + 3] = np.nextafter(0.0, 1.0)
+    return GroupFunction(FiniteAbelianGroup((61, 61)), values)
+
+
+def _sd_zero_cross_term():
+    """sd_conclude on Z_61 with q absent, so the chain's given R is 0."""
+    mul = Automorphism.multiplication
+    cfs = [char_fn(degenerate(Z61, (x,))) for x in (5, 40)]
+    inst = SDInstance(Z61, cfs, [mul(Z61, 3), mul(Z61, 7)], [mul(Z61, 10), mul(Z61, 2)])
+    return sd_conclude(inst).trace
+
+
+# Group chains whose cross term is exactly constant, and the one-ulp twin.
+CONSTANT_CHAINS = {
+    "pexider-Z61": lambda: run_pexider_chain(_z61_problem()),
+    "pexider-Z4xZ4xZ4": lambda: run_pexider_chain(_constant_problem(
+        Z4xZ4xZ4, [-0.6, 0.15, 2.3],
+        [Automorphism.multiplication(Z4xZ4xZ4, 3),
+         _matrix_aut(Z4xZ4xZ4, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]),
+         _matrix_aut(Z4xZ4xZ4, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])])),
+    "sd-Z61-zero-cross": _sd_zero_cross_term,
+    "heyde-Z63": lambda: run_heyde_chain(
+        GroupFunction(Z63, np.full(63, 0.45)), GroupFunction(Z63, np.full(63, -1.05)),
+        Automorphism.multiplication(Z63, 4), r_degree=0),
+    "pexider-Z61-declared-l1": lambda: run_pexider_chain(_constant_problem(
+        Z61, [0.3, -0.95], [Automorphism.multiplication(Z61, m) for m in (3, 8)], r_degree=1)),
+    "pexider-Z61-one-ulp": lambda: run_pexider_chain(_z61_problem(_one_ulp_cross_term())),
+}
+
+
 # The smallest term radius each window mode runs at, for the cubic chains
 # above: one less leaves the square too small for the chain.
 PEXIDER_N2_MIN_RADIUS = 38
 HEYDE_B1_MIN_RADIUS = 132
 
 
-def record() -> dict:
-    return {name: canonical_json(build().to_dict()) for name, build in sorted(CHAINS.items())}
+def record(chains=CHAINS) -> dict:
+    return {name: canonical_json(build().to_dict()) for name, build in sorted(chains.items())}
 
 
 @pytest.mark.parametrize("name", sorted(CHAINS))
@@ -109,6 +166,22 @@ def test_golden_traces_carry_nonzero_float_residuals():
         assert trace["collapse_residual"] > 0.0 or trace["annihilation_residual"] > 0.0, name
 
 
+@pytest.mark.parametrize("name", sorted(CONSTANT_CHAINS))
+def test_constant_cross_term_trace_bytes_match_golden(name):
+    golden = json.loads(CONSTANT_GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(CONSTANT_CHAINS)
+    assert canonical_json(CONSTANT_CHAINS[name]().to_dict()) == golden[name]
+
+
+def test_constant_cross_term_traces_annihilate_to_zero_except_the_twin():
+    golden = json.loads(CONSTANT_GOLDEN.read_text(encoding="utf-8"))
+    for name, text in golden.items():
+        trace = json.loads(text)
+        assert trace["degree_bound_ok"] and trace["cross_degree"] == 0, name
+        zero = [e["annihilation"] == 0.0 for e in trace["sweep"]]
+        assert all(zero) if name != "pexider-Z61-one-ulp" else not all(zero), name
+
+
 def test_smallest_window_radius_that_runs():
     pexider = ([[0.25, -1.3, 0.37, 0.051], [1.7, 0.61, -0.29]], [1, -1])
     heyde = ([0.3, -0.71, 0.137, 0.0123], [1.1, 0.29, -0.53], 1)
@@ -118,3 +191,8 @@ def test_smallest_window_radius_that_runs():
         _pexider_window(PEXIDER_N2_MIN_RADIUS - 1, *pexider)
     with pytest.raises(WindowExhaustedError):
         _heyde_window(HEYDE_B1_MIN_RADIUS - 1, *heyde)
+
+
+if __name__ == "__main__":
+    for path, chains in ((GOLDEN, CHAINS), (CONSTANT_GOLDEN, CONSTANT_CHAINS)):
+        path.write_text(json.dumps(record(chains), indent=1, sort_keys=True) + "\n", encoding="utf-8")
