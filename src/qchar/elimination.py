@@ -20,6 +20,8 @@ peak over the u-range the shrunk square still covers (all of G on a group).
 On a group the sweep differences a block of shifts at once, at most
 ``BLOCK_ENTRIES`` square entries a block, then walks the block shift by
 shift: the trace and the first failure are those of one shift at a time.
+A group's R whose degree certificate reads 0 with residual 0.0 holds one
+value, so it is never differenced and every annihilation peak is +0.0.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .groups import (
     Automorphism,
     FiniteAbelianGroup,
     _add,
+    _coords_table,
     _neg_table,
     multiplication_map,
 )
@@ -215,7 +218,7 @@ class _GroupDomain:
         self.add = _add(group, self.one[:, None], self.one[None, :])
         self.neg = np.asarray(_neg_table(group), dtype=np.int64)
         self.zero = np.zeros_like(self.one)
-        self.shifts = [(h, list(group.coords(h))) for h in range(1, group.order)]
+        self.shifts = list(enumerate(_coords_table(group)[1:].tolist(), 1))
         self.block = BLOCK_ENTRIES // group.order ** 2
 
     @staticmethod
@@ -387,6 +390,9 @@ def _run_chain(mode, dom, terms, P, Q, R, l, final_tol):
     parts = terms[::-1] + [(Q, dom.zero, dom.one)]
     cancel_shifts = [dom.cancel_shifts(a, c) for _, a, c in parts]
     collapse_shifts = dom.cancel_shifts(dom.one, dom.one)  # (h, -h)
+    # a group's degree-0 residual is max - min, so this R is one finite value,
+    # every difference of it is +0.0 and the square is never differenced
+    constant = isinstance(dom, _GroupDomain) and r_cert.degree == 0 and r_cert.residual == 0.0
     for block in _blocks(len(dom.shifts), dom.block):
         rows = dom.shifts[block]
         h = dom.batch([x for x, _ in rows])
@@ -399,12 +405,13 @@ def _run_chain(mode, dom, terms, P, Q, R, l, final_tol):
                 _, a, c = parts[j]
                 live[j] = dom.diff(live[j], dom.lin(a, c, s, t))
             p = dom.diff(p, s)
-            r = dom.diff(r, s, t)
+            r = r if constant else dom.diff(r, s, t)
             after.append(dom.peaks(live[i]))
         for _ in range(l + 1):
             p = dom.diff(p, h)
-            r = dom.diff(r, h, collapse_shifts[h])
-        annihil, collapse, direct = dom.peaks(r), dom.peaks(dom.u_range(p, r)), dom.peaks(p)
+            r = r if constant else dom.diff(r, h, collapse_shifts[h])
+        annihil = np.zeros(len(rows)) if constant else dom.peaks(r)
+        collapse, direct = dom.peaks(dom.u_range(p, r)), dom.peaks(p)
         # walk the block shift by shift, so the first failure raises as unbatched
         for b, (x, label) in enumerate(rows):
             for i, (name, step) in enumerate(names):

@@ -19,12 +19,19 @@ import numpy as np
 import pytest
 
 from qchar.characterizers import SDInstance, sd_conclude
+from qchar import elimination
 from qchar.cli import canonical_json
 from qchar.elimination import EliminationProblem, run_heyde_chain, run_pexider_chain
 from qchar.errors import WindowExhaustedError
 from qchar.groups import Automorphism, FiniteAbelianGroup, GroupHom
 from qchar.measures import char_fn, degenerate
-from qchar.polynomials import GroupFunction, IntegerWindow, WindowFunction
+from qchar.polynomials import (
+    BLOCK_ENTRIES,
+    GroupFunction,
+    IntegerWindow,
+    WindowFunction,
+    _blocks,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "chain_traces.json"
 CONSTANT_GOLDEN = Path(__file__).parent / "golden" / "constant_chain_traces.json"
@@ -180,6 +187,25 @@ def test_constant_cross_term_traces_annihilate_to_zero_except_the_twin():
         assert trace["degree_bound_ok"] and trace["cross_degree"] == 0, name
         zero = [e["annihilation"] == 0.0 for e in trace["sweep"]]
         assert all(zero) if name != "pexider-Z61-one-ulp" else not all(zero), name
+
+
+@pytest.mark.parametrize("name", sorted(CONSTANT_CHAINS))
+def test_only_a_non_constant_cross_term_is_differenced_on_the_square(monkeypatch, name):
+    square = []
+    real = elimination.difference
+
+    def counting(values, move):
+        square.append(np.ndim(move) == 3)  # (block, |G|, |G|): a G x G difference
+        return real(values, move)
+
+    monkeypatch.setattr(elimination, "difference", counting)
+    CONSTANT_CHAINS[name]()
+    if name != "pexider-Z61-one-ulp":
+        assert sum(square) == 0
+    else:
+        # three terms, degree 0: n + l + 2 = 5 square differences a block of shifts
+        blocks = _blocks(Z61.order - 1, BLOCK_ENTRIES // Z61.order ** 2)
+        assert sum(square) == 5 * len(blocks)
 
 
 def test_smallest_window_radius_that_runs():
