@@ -417,7 +417,11 @@ def oracle():
     return out
 
 
-@pytest.mark.parametrize("block_entries", [1, 2 * 81 + 5, 7 * 121, polynomials.BLOCK_ENTRIES])
+# a few of the largest boxes of the radius 12-20 two-dimensional oracle windows, and a remainder
+WIDE_BLOCK = 3 * 41 ** 2 + 7
+
+
+@pytest.mark.parametrize("block_entries", [1, 2 * 81 + 5, WIDE_BLOCK, polynomials.BLOCK_ENTRIES])
 def test_blocked_residuals_match_the_per_shift_loop(monkeypatch, oracle, block_entries):
     # one shift per block, then block sizes that leave a partial last block
     monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", block_entries)
@@ -435,6 +439,24 @@ def test_blocked_residuals_match_the_per_shift_loop(monkeypatch, oracle, block_e
         else:
             assert cert.degree == passing[0]
             assert _same_bits(cert.residual, ref[passing[0], None])
+
+
+def test_wide_block_packs_several_innermost_shifts_of_the_two_dimensional_windows(monkeypatch):
+    monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", WIDE_BLOCK)
+    real = polynomials._window_peaks
+    for N in (12, 16, 20):
+        blocks = []
+
+        def recording(f, n, shifts, rings):
+            blocks.append((len(shifts), min(rings)))
+            return real(f, n, shifts, rings)
+
+        monkeypatch.setattr(polynomials, "_window_peaks", recording)
+        f = WindowFunction(IntegerWindow(N, 2), np.zeros((2 * N + 1,) * 2))
+        for n in range(4):
+            polynomials._poly_residual(f, n)
+        # the ring-1 boxes are the largest a scan differences: (2N - 1)^2 entries
+        assert any(size > 1 and ring == 1 for size, ring in blocks), N
 
 
 def test_failing_degree_stops_at_its_first_failing_shift(monkeypatch):
