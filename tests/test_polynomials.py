@@ -442,16 +442,17 @@ def test_blocked_residuals_match_the_per_shift_loop(monkeypatch, oracle, block_e
 
 
 def test_wide_block_packs_several_innermost_shifts_of_the_two_dimensional_windows(monkeypatch):
-    monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", WIDE_BLOCK)
+    blocks = []
     real = polynomials._window_peaks
+
+    def recording(f, n, shifts, rings):
+        blocks.append((len(shifts), min(rings)))
+        return real(f, n, shifts, rings)
+
+    monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", WIDE_BLOCK)
+    monkeypatch.setattr(polynomials, "_window_peaks", recording)
     for N in (12, 16, 20):
-        blocks = []
-
-        def recording(f, n, shifts, rings):
-            blocks.append((len(shifts), min(rings)))
-            return real(f, n, shifts, rings)
-
-        monkeypatch.setattr(polynomials, "_window_peaks", recording)
+        blocks.clear()
         f = WindowFunction(IntegerWindow(N, 2), np.zeros((2 * N + 1,) * 2))
         for n in range(4):
             polynomials._poly_residual(f, n)
