@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from json.encoder import encode_basestring_ascii as _quote
 
 from ..groups import ORDER_CAP
 from ..scenarios import (
@@ -35,61 +37,58 @@ def canonical_json(obj) -> str:
 
 
 def _emit(obj, out: list):
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        if obj != obj or obj in (float("inf"), float("-inf")):
+    # exact types first: almost every value in a report is a float, str, dict or list
+    kind = type(obj)
+    if kind is float:
+        if not math.isfinite(obj):
             raise ValueError("non-finite float in report")
         out.append(format(obj, ".17g"))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
+    elif kind is str:
+        out.append(_quote(obj))
+    elif kind is dict:
         out.append("{")
         for i, key in enumerate(sorted(obj)):
             if not isinstance(key, str):
                 raise ValueError(f"non-string report key {key!r}")
             if i:
                 out.append(",")
-            out.append(json.dumps(key))
-            out.append(":")
+            out.append(_quote(key) + ":")
             _emit(obj[key], out)
         out.append("}")
+    elif kind is list or kind is tuple:
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _emit(item, out)
+        out.append("]")
+    elif obj is None or kind is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, str):
+        out.append(_quote(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):  # numpy's float64 among them
+        _emit(float(obj), out)
+    elif isinstance(obj, (list, tuple)):
+        _emit(list(obj), out)
+    elif isinstance(obj, dict):
+        _emit(dict(obj), out)
+    elif hasattr(obj, "item"):  # the other numpy scalars
+        _emit(obj.item(), out)
     else:
-        item = getattr(obj, "item", None)
-        if item is not None:
-            _emit(item(), out)
-        else:
-            raise ValueError(f"unserializable report value {type(obj).__name__}")
+        raise ValueError(f"unserializable report value {type(obj).__name__}")
 
 
-def _write(text: str, out_path: str | None):
+def _finish(reports: list[dict], out_path: str | None) -> int:
+    """Write the canonical report (a list of them for several) and return the exit code."""
+    payload = reports[0] if len(reports) == 1 else {"schema": "qchar-report-1", "reports": reports}
+    text = canonical_json(payload) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
-
-
-def _reports_payload(reports: list[dict]) -> dict:
-    if len(reports) == 1:
-        return reports[0]
-    return {"schema": "qchar-report-1", "reports": reports}
-
-
-def _exit_code(reports: list[dict]) -> int:
+        sys.stdout.write(text)
     return 0 if all(r["matched"] for r in reports) else 1
 
 
@@ -139,8 +138,7 @@ def _cmd_run(args) -> int:
             reports = list(pool.map(one, scenarios))
     else:
         reports = [one(s) for s in scenarios]
-    _write(canonical_json(_reports_payload(reports)), args.out)
-    return _exit_code(reports)
+    return _finish(reports, args.out)
 
 
 def _sweep_arities(args) -> tuple[int, ...]:
@@ -172,8 +170,7 @@ def _cmd_sweep(args) -> int:
     arities = _sweep_arities(args)
     report = run_sweep(args.kind, seed=args.seed, count=args.count,
                        max_order=args.max_order, arities=arities)
-    _write(canonical_json(report), args.out)
-    return _exit_code([report])
+    return _finish([report], args.out)
 
 
 def _parse_inline_json(text: str, what: str) -> dict:
@@ -193,8 +190,7 @@ def _cmd_construct(args) -> int:
     phi = _parse_inline_json(args.phi, "--phi")
     pair = _parse_inline_json(args.pair_phi, "--pair-phi") if args.pair_phi else None
     report = _located("$", run_construct, phi, args.min_truncation, args.radius, pair)
-    _write(canonical_json(report), args.out)
-    return _exit_code([report])
+    return _finish([report], args.out)
 
 
 def _cmd_inspect(args) -> int:
@@ -203,8 +199,7 @@ def _cmd_inspect(args) -> int:
     except ValueError as exc:
         raise ScenarioFormatError(f"--orders: {exc}") from exc
     report = _located("$", run_inspect, orders)
-    _write(canonical_json(report), args.out)
-    return _exit_code([report])
+    return _finish([report], args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,11 +17,12 @@ R on the square; the terms meet the square once, in the premise check.  The
 P difference gives two residuals: ``direct`` is its peak, ``collapse`` its
 peak over the u-range the shrunk square still covers (all of G on a group).
 
-On a group the sweep differences a block of shifts at once, at most
-``BLOCK_ENTRIES`` square entries a block, then walks the block shift by
-shift: the trace and the first failure are those of one shift at a time.
-A group's R whose degree certificate reads 0 with residual 0.0 holds one
-value, so it is never differenced and every annihilation peak is +0.0.
+On a group the sweep differences a block of shifts at once, then walks the
+block shift by shift: the trace and the first failure are those of one shift
+at a time.  A block holds ``BLOCK_ENTRIES`` // |G|^2 shifts, as R is
+differenced on G x G.  A group's R whose degree certificate reads 0 with
+residual 0.0 holds one value: it is never differenced, every annihilation
+peak is +0.0, and a block holds ``BLOCK_ENTRIES`` // |G| shifts.
 """
 
 from __future__ import annotations
@@ -309,7 +310,7 @@ class _WindowDomain:
         need = int(np.abs(x).max())
         if _radius(psi) < need:
             raise WindowExhaustedError(f"term data radius {_radius(psi)} below required {need}")
-        return psi[x + _radius(psi)]
+        return psi.take(x + _radius(psi))
 
     def cancel_shifts(self, a, c):
         return {h: -(a * h) // c for h, _ in self.shifts}
@@ -391,9 +392,11 @@ def _run_chain(mode, dom, terms, P, Q, R, l, final_tol):
     cancel_shifts = [dom.cancel_shifts(a, c) for _, a, c in parts]
     collapse_shifts = dom.cancel_shifts(dom.one, dom.one)  # (h, -h)
     # a group's degree-0 residual is max - min, so this R is one finite value,
-    # every difference of it is +0.0 and the square is never differenced
+    # every difference of it is +0.0 and the square is never differenced:
+    # a block of shifts then differences arrays on G alone
     constant = isinstance(dom, _GroupDomain) and r_cert.degree == 0 and r_cert.residual == 0.0
-    for block in _blocks(len(dom.shifts), dom.block):
+    size = BLOCK_ENTRIES // dom.group.order if constant else dom.block
+    for block in _blocks(len(dom.shifts), size):
         rows = dom.shifts[block]
         h = dom.batch([x for x, _ in rows])
         live = [psi for psi, _, _ in parts]

@@ -15,8 +15,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from jsonschema import Draft202012Validator
-from jsonschema.exceptions import best_match
 
 from . import kernels
 from .characterizers import (
@@ -265,13 +263,15 @@ DOCUMENT_SCHEMA = _either("scenarios", _obj(["schema", "scenarios"],
                                              schema={"const": "qchar-scenario-1"},
                                              scenarios=_array(SCENARIO_SCHEMA, minItems=1)),
                           SCENARIO_SCHEMA)
-_VALIDATOR = Draft202012Validator(DOCUMENT_SCHEMA)
 
 
 def check_document(doc) -> None:
     """Raise ScenarioFormatError at the JSONPath of the worst schema violation in
-    a document: one scenario, or {"schema": ..., "scenarios": [...]}."""
-    error = best_match(_VALIDATOR.iter_errors(doc))
+    a document: one scenario, or {"schema": ..., "scenarios": [...]}.  Only this
+    loads jsonschema; building the validator takes microseconds, a check milliseconds."""
+    from jsonschema import Draft202012Validator
+    from jsonschema.exceptions import best_match
+    error = best_match(Draft202012Validator(DOCUMENT_SCHEMA).iter_errors(doc))
     if error is not None:
         raise ScenarioFormatError(f"{error.json_path}: {error.message}")
 

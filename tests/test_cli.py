@@ -57,6 +57,97 @@ def test_canonical_json_rejects_non_finite():
         canonical_json({"x": math.inf})
 
 
+def _recursive_emit(obj, out: list):
+    """The recursive isinstance emitter that canonical_json replaced, kept as its oracle."""
+    if obj is None:
+        out.append("null")
+    elif obj is True:
+        out.append("true")
+    elif obj is False:
+        out.append("false")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        if obj != obj or obj in (float("inf"), float("-inf")):
+            raise ValueError("non-finite float in report")
+        out.append(format(obj, ".17g"))
+    elif isinstance(obj, (list, tuple)):
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _recursive_emit(item, out)
+        out.append("]")
+    elif isinstance(obj, dict):
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise ValueError(f"non-string report key {key!r}")
+            if i:
+                out.append(",")
+            out.append(json.dumps(key))
+            out.append(":")
+            _recursive_emit(obj[key], out)
+        out.append("}")
+    else:
+        item = getattr(obj, "item", None)
+        if item is not None:
+            _recursive_emit(item(), out)
+        else:
+            raise ValueError(f"unserializable report value {type(obj).__name__}")
+
+
+def _recursive_json(obj) -> str:
+    parts: list[str] = []
+    _recursive_emit(obj, parts)
+    return "".join(parts)
+
+
+def test_canonical_json_matches_the_recursive_emitter_on_every_golden_report():
+    golden = json.loads((Path(__file__).parent / "golden" / "reports.json").read_text("utf-8"))
+    texts = [r["stdout"].rstrip("\n") for r in golden["run"].values() if r["stdout"]]
+    assert len(texts) == 5
+    for text in texts:
+        payload = json.loads(text)
+        assert canonical_json(payload) == _recursive_json(payload) == text
+        for report in payload.get("reports", [payload]):
+            assert canonical_json(report) == _recursive_json(report)
+
+
+def test_canonical_json_matches_the_recursive_emitter_on_other_types():
+    from collections import OrderedDict
+
+    class Name(str):
+        pass
+
+    report = {
+        "numpy": [np.float64(0.1), np.float64(-0.0), np.int64(-7), np.bool_(True),
+                  np.bool_(False), np.float32(1.5), np.uint8(200)],
+        "tuple": (1, (2.5, "x"), ()),
+        "text": ["\u03a9m\u00e9ga \u2713", "quote \" back \\ tab \t nul \x00", "\U0001f600", Name("sub")],
+        "empty": [{}, [], "", OrderedDict()],
+        "floats": [5e-324, 1e308, -1.0, 0.1 + 0.2, 1 / 3, 2.0 ** 60],
+        "ints": [0, -1, 10 ** 30, True, False, None],
+        Name("\u00e9"): OrderedDict([("b", 1), ("a", [None])]),
+    }
+    assert canonical_json(report) == _recursive_json(report)
+    for value in report.values():
+        assert canonical_json(value) == _recursive_json(value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf, np.float64(math.inf), [1.0, math.nan],
+                                 {1: "x"}, {"a": {"b": (2,)}, "c": {3: 4}}, {"a": 1, 2: "b"},
+                                 {"x": object()}, [{1, 2}], b"bytes"])
+def test_canonical_json_raises_what_the_recursive_emitter_raised(bad):
+    with pytest.raises(Exception) as want:
+        _recursive_json(bad)
+    with pytest.raises(want.type) as got:
+        canonical_json(bad)
+    assert str(got.value) == str(want.value)
+
+
 # -- run subcommand ---------------------------------------------------------
 
 
@@ -507,6 +598,25 @@ def test_python_dash_m_qchar_is_quiet(monkeypatch):
         assert proc.returncode == 0, f"{proc.args} exited {proc.returncode}:\n{proc.stderr}"
         assert proc.stderr == ""
         assert "usage:" in proc.stdout
+
+
+def test_jsonschema_loads_only_to_validate_a_document(tmp_path):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = f"""
+import contextlib, io, json, sys
+import qchar.cli
+assert "jsonschema" not in sys.modules, "import"
+with contextlib.redirect_stdout(io.StringIO()):
+    qchar.cli.main(["sweep", "independence-collapse", "--count", "2", "--max-order", "4"])
+assert "jsonschema" not in sys.modules, "sweep"
+from qchar.scenarios import check_document
+check_document(json.load(open({str(DATA / "heyde_pass.json")!r})))
+assert "jsonschema" in sys.modules, "check_document"
+"""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 # -- python api parity ------------------------------------------------------

@@ -267,6 +267,14 @@ def _first_coordinate_chain(orders, multipliers, noise, rng):
     return EliminationProblem(terms=terms, r_degree=0)
 
 
+def _constant_cross_term_chain(noise, rng):
+    """A first-coordinate chain on Z_3 x Z_11 whose R is given as exact zeros:
+    with noise, a small final_tol first fails at shift [1, 0], the 11th."""
+    problem = _first_coordinate_chain((3, 11), (1, 2), noise, rng)
+    zero = GroupFunction(FiniteAbelianGroup((3, 11, 3, 11)), np.zeros(33 * 33))
+    return EliminationProblem(terms=problem.terms, r_degree=0, R=zero)
+
+
 def _oracle_chains():
     rng = np.random.default_rng(12)
     chains = []
@@ -284,6 +292,9 @@ def _oracle_chains():
         for tol in (None, 1e-15):
             chains.append(lambda a=psi1, b=psi2, mm=m, gg=g, t=tol: run_heyde_chain(
                 a, b, Automorphism.multiplication(gg, mm), r_degree=0, final_tol=t))
+    noisy = _constant_cross_term_chain(1e-14, rng)
+    for tol in (None, 1e-15):
+        chains.append(lambda p=noisy, t=tol: run_pexider_chain(p, final_tol=t))
     chains.append(lambda: run_pexider_chain(window_pexider_problem()))
     chains.append(lambda: run_heyde_chain(tabulate(112, 1, lambda x: float(x * x)),
                                           tabulate(112, 1, lambda x: float(2 * x * x)), 1,
@@ -324,3 +335,33 @@ def test_group_square_difference_matches_a_per_shift_gather(monkeypatch, orders,
             want = np.stack([g[add[a]][:, add[b]] - g for g, a, b in zip(base, s, t)])
             assert got.shape == want.shape
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_constant_cross_term_oracle_chain_fails_inside_its_second_block():
+    problem = _constant_cross_term_chain(1e-14, np.random.default_rng(3))
+    assert run_pexider_chain(problem).cross_degree == 0
+    # the lone first shift, then one block of the other 31 shifts
+    blocks = elimination._blocks(32, elimination.BLOCK_ENTRIES // 33)
+    assert [(b.start, b.stop) for b in blocks] == [(0, 1), (1, 32)]
+    with pytest.raises(PremiseError, match=r"at shift \[1, 0\]") as err:
+        run_pexider_chain(problem, final_tol=1e-15)
+    assert err.value.residual > 1e-15
+
+
+def test_a_constant_cross_term_sweeps_z64_in_two_blocks(monkeypatch):
+    g = FiniteAbelianGroup((64,))
+    terms = [(GroupFunction(g, np.full(64, c)), Automorphism.multiplication(g, m))
+             for c, m in ((0.7, 1), (-0.2, 3))]
+    calls = []
+    real = elimination._GroupDomain.diff
+
+    def counting(self, f, *shift):
+        calls.append(len(shift))
+        return real(self, f, *shift)
+
+    monkeypatch.setattr(elimination._GroupDomain, "diff", counting)
+    trace = run_pexider_chain(EliminationProblem(terms=terms, r_degree=0))
+    assert len(trace.sweep) == 63 and trace.annihilation_residual == 0.0
+    # a block differences the terms (n+1)(n+2)/2 times and P n+l+2 times, R never
+    n, l = 2, 0
+    assert calls == [1] * 2 * ((n + 1) * (n + 2) // 2 + n + l + 2)
