@@ -299,13 +299,14 @@ def heyde_condition(group: FiniteAbelianGroup, alpha: Automorphism):
 
 
 def _symmetry_peak(inst: HeydeInstance, defect) -> float:
-    """Peak of defect(u+v, u+bv, u-v, u-bv) over the dual square."""
-    group = inst.group
-    n = group.order
-    neg = _neg_table(group)
-    bb = adjoint(inst.alpha).table
-    moves = (np.arange(n), bb, neg, neg[bb])
-    return _pair_peak(n, n, lambda u: defect(*(_add(group, u, w) for w in moves)))
+    """Peak of defect(u+v, u+bv, u-v, u-bv) over the dual square.
+
+    v -> -v swaps the pairs and negates the defect: only v <= -v is taken."""
+    group, neg = inst.group, _neg_table(inst.group)
+    v = np.flatnonzero(np.arange(group.order) <= neg)
+    bb = adjoint(inst.alpha).table[v]
+    moves = (v, bb, neg[v], neg[bb])
+    return _pair_peak(group.order, v.size, lambda u: defect(*(_add(group, u, w) for w in moves)))
 
 
 def heyde_symmetry_residual(inst: HeydeInstance) -> float:

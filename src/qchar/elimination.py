@@ -18,17 +18,21 @@ P difference gives two residuals: ``direct`` is its peak, ``collapse`` its
 peak over the u-range the shrunk square still covers (all of G on a group).
 
 On a group the sweep differences a block of shifts at once, then walks the
-block shift by shift: the trace and the first failure are those of one shift
-at a time.  A block holds ``BLOCK_ENTRIES`` // |G|^2 shifts, as R is
-differenced on G x G.  A group's R whose degree certificate reads 0 with
-residual 0.0 holds one value: it is never differenced, every annihilation
-peak is +0.0, and a block holds ``BLOCK_ENTRIES`` // |G| shifts.
+shifts one by one: the trace and the first failure are those of one shift at
+a time.  Each shift of the chain at -h negates one at h, and rounded
+subtraction is sign-symmetric, so every peak at -h is the one at h.  A block
+holds representatives min(h, -h) only, ``BLOCK_ENTRIES`` // |G|^2 of them as
+R is differenced on G x G, and the walk reads each shift from its own.  A
+group's R whose degree certificate reads 0 with residual 0.0 holds one value:
+it is never differenced, every annihilation peak is +0.0, and a block holds
+``BLOCK_ENTRIES`` // |G| representatives.  A window's centred boxes break the
+mirror, so a window differences every shift.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -110,7 +114,7 @@ class EliminationTrace:
 
     def to_dict(self) -> dict:
         out = {f.name: getattr(self, f.name) for f in fields(self)}
-        out["steps"] = [{**asdict(s), "shift": list(s.shift)} for s in self.steps]
+        out["steps"] = [{**vars(s), "shift": list(s.shift)} for s in self.steps]
         return out
 
 
@@ -200,7 +204,8 @@ def _heyde_scalars(b: int) -> list:
 # coefficient.  Every value the chain reads is psi(a x + c y): ``lin`` forms
 # a x + c y elementwise and ``take`` reads psi there.  The sweep runs over
 # blocks of up to ``block`` shifts: ``batch`` turns one into the shift that
-# ``diff`` takes, and ``peaks`` gives one peak per shift of the block.
+# ``diff`` takes, and ``peaks`` gives one peak per shift of the block.  A
+# shift reads its peaks from the sweep position ``rep`` of its representative.
 
 
 def _floats(fn) -> np.ndarray:
@@ -220,6 +225,7 @@ class _GroupDomain:
         self.neg = np.asarray(_neg_table(group), dtype=np.int64)
         self.zero = np.zeros_like(self.one)
         self.shifts = list(enumerate(_coords_table(group)[1:].tolist(), 1))
+        self.rep = np.minimum(self.one, self.neg)[1:] - 1  # min(h, -h)
         self.block = BLOCK_ENTRIES // group.order ** 2
 
     @staticmethod
@@ -283,6 +289,7 @@ class _WindowDomain:
     def __init__(self, terms, R, l: int):
         base = math.lcm(*(abs(c) for *_, c in terms))
         self.shifts = [(base * s, base * s) for s in WINDOW_SHIFT_SET]
+        self.rep = np.arange(len(self.shifts))
         max_h = max(abs(h) for h, _ in self.shifts)
         max_shift = max(max(abs(h), abs(k)) for _, a, c in terms
                         for h, k in self.cancel_shifts(a, c).items())
@@ -396,9 +403,11 @@ def _run_chain(mode, dom, terms, P, Q, R, l, final_tol):
     # a block of shifts then differences arrays on G alone
     constant = isinstance(dom, _GroupDomain) and r_cert.degree == 0 and r_cert.residual == 0.0
     size = BLOCK_ENTRIES // dom.group.order if constant else dom.block
-    for block in _blocks(len(dom.shifts), size):
-        rows = dom.shifts[block]
-        h = dom.batch([x for x, _ in rows])
+    # blocks of representatives, ascending; a block walks up to the next one
+    edges = np.append(np.flatnonzero(dom.rep == np.arange(len(dom.shifts))), len(dom.shifts))
+    found = np.empty((len(names) + 3, len(dom.shifts)))  # peaks by sweep position
+    for block in _blocks(len(edges) - 1, size):
+        h = dom.batch([dom.shifts[i][0] for i in edges[block]])
         live = [psi for psi, _, _ in parts]
         p, r, after = P, R, []
         for i in range(len(names)):
@@ -413,24 +422,23 @@ def _run_chain(mode, dom, terms, P, Q, R, l, final_tol):
         for _ in range(l + 1):
             p = dom.diff(p, h)
             r = r if constant else dom.diff(r, h, collapse_shifts[h])
-        annihil = np.zeros(len(rows)) if constant else dom.peaks(r)
-        collapse, direct = dom.peaks(dom.u_range(p, r)), dom.peaks(p)
-        # walk the block shift by shift, so the first failure raises as unbatched
-        for b, (x, label) in enumerate(rows):
+        annihil = np.zeros(len(h)) if constant else dom.peaks(r)
+        found[:, edges[block]] = [*after, annihil, dom.peaks(dom.u_range(p, r)), dom.peaks(p)]
+        # walk shift by shift, so the first failure raises as unbatched
+        for at in range(edges[block.start], edges[block.stop]):
+            x, label = dom.shifts[at]
+            *after, annihil, collapse, direct = found[:, dom.rep[at]].tolist()
             for i, (name, step) in enumerate(names):
-                _require(float(after[i][b]), final_tol, f"step {step} failed to cancel {name}")
-            entry = {"shift": label, "annihilation": float(annihil[b]),
-                     "collapse": float(collapse[b]), "direct": float(direct[b])}
+                _require(after[i], final_tol, f"step {step} failed to cancel {name}")
+            entry = dict(shift=label, annihilation=annihil, collapse=collapse, direct=direct)
             if not trace.sweep:
-                trace.steps = [EliminationStep(step, (x, int(cancel_shifts[i][x])), name,
-                                               float(after[i][b]))
+                trace.steps = [EliminationStep(step, (x, int(cancel_shifts[i][x])), name, after[i])
                                for i, (name, step) in enumerate(names)]
                 trace.steps.append(EliminationStep("annihilate-cross", (x, int(collapse_shifts[x])),
-                                                   "r", entry["annihilation"]))
+                                                   "r", annihil))
             trace.sweep.append(entry)
-            _require(entry["annihilation"], final_tol,
-                     f"cross-term annihilation failed at shift {label}")
-            _require(peak([entry["collapse"], entry["direct"]]), final_tol,
+            _require(annihil, final_tol, f"cross-term annihilation failed at shift {label}")
+            _require(peak([collapse, direct]), final_tol,
                      f"target difference of order {order} fails to vanish at shift {label}")
     trace.annihilation_residual = peak([e["annihilation"] for e in trace.sweep])
     trace.collapse_residual = peak([e["collapse"] for e in trace.sweep])

@@ -262,22 +262,27 @@ def _window_peaks(f, n: int, shifts, rings):
 def _shift_peaks(f, n: int):
     """(places, peaks) of the (n+1)-fold difference, a block of shifts at a time.
 
-    places are the shifts' positions in product order, the order a group runs
-    them in.  A window runs (-reach, ..., -reach) alone, then makes the rest
-    and runs them by ring |h|, largest first and in product order within a
-    ring, each block holding at most ``BLOCK_ENTRIES`` entries of the box its
-    first difference covers.
+    places are the shifts' positions in product order.  A group runs min(h, -h)
+    of each pair {h, -h}, in product order, and yields the places of both with
+    one peak: D_-h^(n+1) f(x) is +-D_h^(n+1) f(x - (n+1)h) up to the sign of a
+    zero, so the two peaks are one float.  A window's centred boxes break that
+    mirror: it runs (-reach, ..., -reach) alone, then makes the rest and runs
+    them by ring |h|, largest first and in product order within a ring, each
+    block holding at most ``BLOCK_ENTRIES`` entries of the box its first
+    difference covers.
     """
     if isinstance(f, GroupFunction):
-        vals = np.asarray(f.values)
-        for block in _blocks(f.group.order - 1, BLOCK_ENTRIES // vals.size):
-            at = np.arange(block.start, block.stop)
-            move = _add(f.group, np.arange(vals.size), at[:, None] + 1)
+        vals, neg = np.asarray(f.values), _neg_table(f.group)
+        reps = np.flatnonzero(np.arange(vals.size) <= neg)[1:]
+        for block in _blocks(len(reps), BLOCK_ENTRIES // vals.size):
+            h = reps[block]
+            move = _add(f.group, np.arange(vals.size), h[:, None])
             d = difference(vals, move)
             move += np.arange(0, move.size, vals.size)[:, None]  # later rounds read their own row
             for _ in range(n):
                 d = difference(d, move)
-            yield at, np.abs(d).max(axis=1)
+            peaks, pair = np.abs(d).max(axis=1), neg[h] != h
+            yield np.concatenate([h, neg[h][pair]]) - 1, np.concatenate([peaks, peaks[pair]])
         return
     N, dim = f.window.radius, f.window.dim
     if N < n + 2:

@@ -409,6 +409,30 @@ def test_blocked_residuals_with_a_witness_are_bitwise_the_dense_ones(
     _check_blocked_against_dense(FiniteAbelianGroup(orders), units, with_q=True)
 
 
+# the defect at (u, -v) is minus the one at (u, v), so only v <= -v is evaluated
+@pytest.mark.parametrize("block_entries", [1, 727, polynomials.BLOCK_ENTRIES])
+@pytest.mark.parametrize("orders, alpha", [((2, 4), 3), ((9,), 4), ((63,), 4)],
+                         ids=["z2xz4", "z9", "z63"])
+def test_half_width_symmetry_peaks_are_bitwise_the_full_width_ones(
+        monkeypatch, orders, alpha, block_entries):
+    monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", block_entries)
+    g = FiniteAbelianGroup(orders)
+    rng = np.random.default_rng(g.order)
+    x = int(rng.integers(1, g.order))
+    minus_alpha_x = int(_neg_table(g)[mult(g, alpha).table[x]])
+    matched = product_joint([degenerate(g, g.coords(minus_alpha_x)), degenerate(g, g.coords(x))])
+    mixed = product_joint([random_distribution(g, rng), random_distribution(g, rng)])
+    for joint, passes in ((matched, True), (mixed, False)):
+        inst = HeydeInstance(g, joint, mult(g, alpha))
+        resid = heyde_symmetry_residual(inst)
+        assert np.float64(resid).tobytes() == np.float64(_dense_heyde_symmetry(inst)).tobytes()
+        assert (resid <= 1e-12) == passes
+        witness = symmetry_witness(inst, tol=np.inf)
+        want = _dense_witness_residual(inst)
+        assert np.float64(witness.residual).tobytes() == np.float64(want).tobytes()
+        assert (symmetry_witness(inst) is not None) == passes
+
+
 def _nan_in_the_last_row_block(g):
     """A zero witness on the dual square, but NaN in the row of u = |G| - 1."""
     values = np.zeros(g.order ** 2, dtype=np.complex128)

@@ -292,6 +292,11 @@ def _oracle_chains():
         for tol in (None, 1e-15):
             chains.append(lambda a=psi1, b=psi2, mm=m, gg=g, t=tol: run_heyde_chain(
                 a, b, Automorphism.multiplication(gg, mm), r_degree=0, final_tol=t))
+    # a non-constant R on Z_64, whose 0 and 32 are their own negatives: the
+    # sweep differences min(h, -h) only and reads the other shift of each pair
+    noisy = _first_coordinate_chain((64,), (1, 3, 5), 1e-12, rng)
+    for tol in (None, 1e-15):
+        chains.append(lambda p=noisy, t=tol: run_pexider_chain(p, final_tol=t))
     noisy = _constant_cross_term_chain(1e-14, rng)
     for tol in (None, 1e-15):
         chains.append(lambda p=noisy, t=tol: run_pexider_chain(p, final_tol=t))
