@@ -106,17 +106,6 @@ def _degenerate_verdicts(group: FiniteAbelianGroup, cfs, tol: float) -> tuple:
     return tuple(verdicts)
 
 
-def _check_q(group: FiniteAbelianGroup, q) -> np.ndarray | None:
-    if q is None:
-        return None
-    sq = _square_group(group)
-    if not isinstance(q, GroupFunction) or q.group != sq:
-        raise GroupMismatchError("witness must live on the dual product group")
-    if not within(abs(q.values[0]), 1e-10):
-        raise ValueError("witness must vanish at zero")
-    return np.asarray(q.values).reshape(group.order, group.order)
-
-
 def _log_sq_modulus(f: CharacteristicFunction) -> np.ndarray:
     mags = np.abs(np.asarray(f.values))
     if mags.min() <= VANISH_TOL:
@@ -134,15 +123,13 @@ class SDInstance:
     """n transformed variables entering two linear statistics.
 
     cfs are the component transforms, alphas/betas the coefficient
-    automorphisms of the two statistics; q is an optional witness on the
-    dual product group.
+    automorphisms of the two statistics.
     """
 
     group: FiniteAbelianGroup
     cfs: tuple
     alphas: tuple
     betas: tuple
-    q: GroupFunction | None = None
 
     def __post_init__(self):
         self.cfs = tuple(self.cfs)
@@ -194,14 +181,12 @@ def _sd_residual(inst: SDInstance, abar, bbar) -> float:
     for f, A, B in zip(inst.cfs, abar, bbar):
         col *= f.values[A]
         row *= f.values[B]
-    qm = _check_q(inst.group, inst.q)
 
     def defect(u):
         lhs = np.ones((u.size, n), dtype=np.complex128)
         for f, A, B in zip(inst.cfs, abar, bbar):
             lhs *= f.values[_add(inst.group, A[u], B)]
-        rhs = col[u] * row
-        return lhs - (rhs if qm is None else rhs * np.exp(qm[u[:, 0]]))
+        return lhs - col[u] * row
     return _pair_peak(n, n, defect)
 
 
@@ -235,11 +220,9 @@ def sd_conclude(inst: SDInstance, tol: float = CHECK_TOL) -> SDConclusion:
     for cls in classes.values():
         terms.append((GroupFunction(group, cls["psi"]),
                       Automorphism(group, group, cls["b"])))
-    qm = _check_q(inst.group, inst.q)
-    r_vals = np.zeros(n * n) if qm is None else 2.0 * np.real(qm).reshape(-1)
     problem = EliminationProblem(
         terms=tuple(terms), r_degree=0,
-        R=GroupFunction(_square_group(group), r_vals),
+        R=GroupFunction(_square_group(group), np.zeros(n * n)),
     )
     trace = run_pexider_chain(problem)
     p_total = GroupFunction(group, sum(_log_sq_modulus(f) for f in inst.cfs))
@@ -253,12 +236,11 @@ def sd_conclude(inst: SDInstance, tol: float = CHECK_TOL) -> SDConclusion:
 
 @dataclass(eq=False)
 class HeydeInstance:
-    """A pair with joint law, one mixing automorphism, optional witness."""
+    """A pair with joint law and one mixing automorphism."""
 
     group: FiniteAbelianGroup
     joint: JointDistribution
     alpha: Automorphism
-    q: GroupFunction | None = None
 
     def __post_init__(self):
         if self.joint.arity != 2 or any(g != self.group for g in self.joint.groups):
@@ -407,7 +389,6 @@ class KBInstance:
     group: FiniteAbelianGroup
     cf1: CharacteristicFunction
     cf2: CharacteristicFunction
-    q: GroupFunction | None = None
 
     def __post_init__(self):
         for f in (self.cf1, self.cf2):
@@ -437,40 +418,34 @@ class KBFactorization:
 
 
 def kb_equation_residual(inst: KBInstance) -> float:
-    """Defect of f1(u+v) f2(u-v) = f1(u) f2(u) f1(v) f2(-v) e^q."""
+    """Defect of f1(u+v) f2(u-v) = f1(u) f2(u) f1(v) f2(-v)."""
     group = inst.group
     n = group.order
     neg = _neg_table(group)
     f1 = np.asarray(inst.cf1.values)
     f2 = np.asarray(inst.cf2.values)
     col, row = f1 * f2, f1 * f2[neg]
-    qm = _check_q(group, inst.q)
     # f1(u + v) and f2(u - v) = f2(-(v - u)), as rows of translates
     sums, diffs = _translates(group, f1), _translates(group, f2[neg])
 
     def defect(u):
-        rhs = col[u] * row
-        return sums(u) * diffs(neg[u]) - (rhs if qm is None else rhs * np.exp(qm[u[:, 0]]))
+        return sums(u) * diffs(neg[u]) - col[u] * row
     return _pair_peak(n, n, defect)
 
 
 def kb_doubling_check(inst: KBInstance) -> dict:
-    """Residuals of the doubling identities and the iterated modulus law."""
+    """Residuals of the doubling identities and the iterated modulus law.
+
+    A polynomial on a finite group is constant, so a Q-independence witness
+    there is zero and ``q_negligible`` always holds.
+    """
     group = inst.group
     n = group.order
     two = np.asarray(multiplication_map(group, 2).table, dtype=np.int64)
-    neg = np.asarray(_neg_table(group), dtype=np.int64)
     f1 = np.asarray(inst.cf1.values)
     f2 = np.asarray(inst.cf2.values)
-    qm = _check_q(group, inst.q)
-    q_diag = np.zeros(n, dtype=np.complex128)
-    q_anti = np.zeros(n, dtype=np.complex128)
-    if qm is not None:
-        idx = np.arange(n)
-        q_diag = qm[idx, idx]
-        q_anti = qm[idx, neg[idx]]
-    first = float(np.abs(f1[two] - f1 * f1 * np.abs(f2) ** 2 * np.exp(q_diag)).max())
-    second = float(np.abs(f2[two] - np.abs(f1) ** 2 * f2 * f2 * np.exp(q_anti)).max())
+    first = float(np.abs(f1[two] - f1 * f1 * np.abs(f2) ** 2).max())
+    second = float(np.abs(f2[two] - np.abs(f1) ** 2 * f2 * f2).max())
     base = np.abs(f1 * f2)
     iterated = []
     arg = np.arange(n, dtype=np.int64)
@@ -480,9 +455,7 @@ def kb_doubling_check(inst: KBInstance) -> dict:
         worst = max(float(np.abs(np.abs(f1[arg]) - target).max()),
                     float(np.abs(np.abs(f2[arg]) - target).max()))
         iterated.append(worst)
-    q_flat = qm is None or bool(np.abs(qm).max() <= CHECK_TOL)
-    return {"first": first, "second": second, "iterated": iterated,
-            "q_negligible": q_flat}
+    return {"first": first, "second": second, "iterated": iterated, "q_negligible": True}
 
 
 def kb_factorize(inst: KBInstance, tol: float = CHECK_TOL) -> KBFactorization:
@@ -558,11 +531,12 @@ def _split_window_arg(obj):
 def cramer_check(gamma, factor1, factor2, q=None, tol: float = CHECK_TOL) -> CramerReport:
     """Validate a two-factor decomposition of a Gaussian-type transform.
 
-    Finite mode takes CharacteristicFunctions and a diagonal witness on the
-    group; both factors must be positive definite, the product identity must
-    hold, and the conclusion (each factor unit-modulus, hence a point mass)
-    is certified.  Circle mode takes dim-1 window transforms, optionally
-    paired with exact log windows; factors are screened for non-negative
+    Finite mode takes CharacteristicFunctions and no witness, as every
+    polynomial on a finite group is constant; both factors must be positive
+    definite, the product identity must hold, and the conclusion (each factor
+    unit-modulus, hence a point mass) is certified.  Circle mode takes dim-1
+    window transforms, optionally paired with exact log windows, and an
+    optional diagonal witness window; factors are screened for non-negative
     density and reported as Gaussian or not, without forcing a conclusion.
     """
     if isinstance(gamma, CharacteristicFunction):
@@ -573,13 +547,9 @@ def cramer_check(gamma, factor1, factor2, q=None, tol: float = CHECK_TOL) -> Cra
                 raise GroupMismatchError("factors must live on the target group")
             if not f.is_positive_definite():
                 raise HypothesisError(f"factor {j} is not positive definite")
-        if q is not None and (not isinstance(q, GroupFunction) or q.group != group):
-            raise GroupMismatchError("diagonal witness must live on the dual group")
-        rhs = np.asarray(factor1.values) * np.asarray(factor2.values)
         if q is not None:
-            if not within(abs(q.values[0]), 1e-10):
-                raise ValueError("witness must vanish at zero")
-            rhs = rhs * np.exp(np.asarray(q.values))
+            raise ValueError("a finite group takes no witness: its polynomials are constant")
+        rhs = np.asarray(factor1.values) * np.asarray(factor2.values)
         resid = peak(np.asarray(gamma.values) - rhs)
         if not within(resid, tol):
             raise HypothesisError(

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii as _quote
+from math import isfinite
 
 from ..groups import ORDER_CAP
 from ..scenarios import (
@@ -32,52 +32,58 @@ __all__ = ["canonical_json", "main"]
 def canonical_json(obj) -> str:
     """Deterministic JSON: sorted keys, compact separators, .17g floats."""
     parts: list[str] = []
-    _emit(obj, parts)
+    append = parts.append
+    keys: dict[str, str] = {}  # each quoted key with its ":", quoted once a call
+
+    def emit(obj):
+        # exact types first: almost every value in a report is a float, str, dict or list;
+        # a container puts "," after each item, then closes over the last one (or its opener)
+        kind = type(obj)
+        if kind is float:
+            if not isfinite(obj):
+                raise ValueError("non-finite float in report")
+            append("%.17g" % obj)
+        elif kind is str:
+            append(_quote(obj))
+        elif kind is dict:
+            append("{")
+            for key in sorted(obj):
+                if not isinstance(key, str):
+                    raise ValueError(f"non-string report key {key!r}")
+                text = keys.get(key)
+                if text is None:
+                    text = keys[key] = _quote(key) + ":"
+                append(text)
+                emit(obj[key])
+                append(",")
+            parts[-1] = "}" if obj else "{}"
+        elif kind is list or kind is tuple:
+            append("[")
+            for item in obj:
+                emit(item)
+                append(",")
+            parts[-1] = "]" if obj else "[]"
+        elif kind is int:
+            append(str(obj))
+        elif obj is None or kind is bool:
+            append("null" if obj is None else "true" if obj else "false")
+        elif isinstance(obj, str):
+            append(_quote(obj))
+        elif isinstance(obj, int):
+            append(str(obj))
+        elif isinstance(obj, float):  # numpy's float64 among them
+            emit(float(obj))
+        elif isinstance(obj, (list, tuple)):
+            emit(list(obj))
+        elif isinstance(obj, dict):
+            emit(dict(obj))
+        elif hasattr(obj, "item"):  # the other numpy scalars
+            emit(obj.item())
+        else:
+            raise ValueError(f"unserializable report value {type(obj).__name__}")
+
+    emit(obj)
     return "".join(parts)
-
-
-def _emit(obj, out: list):
-    # exact types first: almost every value in a report is a float, str, dict or list
-    kind = type(obj)
-    if kind is float:
-        if not math.isfinite(obj):
-            raise ValueError("non-finite float in report")
-        out.append(format(obj, ".17g"))
-    elif kind is str:
-        out.append(_quote(obj))
-    elif kind is dict:
-        out.append("{")
-        for i, key in enumerate(sorted(obj)):
-            if not isinstance(key, str):
-                raise ValueError(f"non-string report key {key!r}")
-            if i:
-                out.append(",")
-            out.append(_quote(key) + ":")
-            _emit(obj[key], out)
-        out.append("}")
-    elif kind is list or kind is tuple:
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _emit(item, out)
-        out.append("]")
-    elif obj is None or kind is bool:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, str):
-        out.append(_quote(obj))
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):  # numpy's float64 among them
-        _emit(float(obj), out)
-    elif isinstance(obj, (list, tuple)):
-        _emit(list(obj), out)
-    elif isinstance(obj, dict):
-        _emit(dict(obj), out)
-    elif hasattr(obj, "item"):  # the other numpy scalars
-        _emit(obj.item(), out)
-    else:
-        raise ValueError(f"unserializable report value {type(obj).__name__}")
 
 
 def _finish(reports: list[dict], out_path: str | None) -> int:

@@ -17,16 +17,18 @@ R on the square; the terms meet the square once, in the premise check.  The
 P difference gives two residuals: ``direct`` is its peak, ``collapse`` its
 peak over the u-range the shrunk square still covers (all of G on a group).
 
-On a group the sweep differences a block of shifts at once, then walks the
-shifts one by one: the trace and the first failure are those of one shift at
-a time.  Each shift of the chain at -h negates one at h, and rounded
-subtraction is sign-symmetric, so every peak at -h is the one at h.  A block
-holds representatives min(h, -h) only, ``BLOCK_ENTRIES`` // |G|^2 of them as
-R is differenced on G x G, and the walk reads each shift from its own.  A
-group's R whose degree certificate reads 0 with residual 0.0 holds one value:
-it is never differenced, every annihilation peak is +0.0, and a block holds
-``BLOCK_ENTRIES`` // |G| representatives.  A window's centred boxes break the
-mirror, so a window differences every shift.
+On a group the sweep differences a block of shifts at once.  Each shift of
+the chain at -h negates one at h, and rounded subtraction is sign-symmetric,
+so every peak at -h is the one at h: a block holds ``BLOCK_ENTRIES`` // |G|
+representatives min(h, -h), ascending, and each shift reads its peaks from
+its own.  R lives on G x G, so it is differenced in sub-blocks of
+``BLOCK_ENTRIES`` // |G|^2 representatives; a group's R whose degree
+certificate reads 0 with residual 0.0 holds one value and is never
+differenced (every annihilation peak is +0.0).  One comparison checks a
+block's peaks against the final tolerance, and the step-by-step checks run
+at the first failing shift only, so the trace, the error and its residual
+are those of one shift at a time.  A window's centred boxes break the
+mirror, so a window differences every shift, one a block.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ from .polynomials import (
     GroupFunction,
     IntegerWindow,
     WindowFunction,
-    _blocks,
     _centre,
     _radius,
     delta,
@@ -203,8 +204,9 @@ def _heyde_scalars(b: int) -> list:
 # and integers on a window; ``one`` and ``zero`` are the identity and the zero
 # coefficient.  Every value the chain reads is psi(a x + c y): ``lin`` forms
 # a x + c y elementwise and ``take`` reads psi there.  The sweep runs over
-# blocks of up to ``block`` shifts: ``batch`` turns one into the shift that
-# ``diff`` takes, and ``peaks`` gives one peak per shift of the block.  A
+# blocks of up to ``block`` shifts, and differences R on the square in
+# sub-blocks of up to ``square_block``: ``batch`` turns one into the shift
+# that ``diff`` takes, and ``peaks`` gives one peak per shift of the block.  A
 # shift reads its peaks from the sweep position ``rep`` of its representative.
 
 
@@ -219,14 +221,15 @@ class _GroupDomain:
     poly_tol = GROUP_POLY_TOL
 
     def __init__(self, group: FiniteAbelianGroup):
-        self.group = group
+        self.group, self.order = group, group.order
         self.one = self.points = np.arange(group.order, dtype=np.int64)
         self.add = _add(group, self.one[:, None], self.one[None, :])
         self.neg = np.asarray(_neg_table(group), dtype=np.int64)
         self.zero = np.zeros_like(self.one)
         self.shifts = list(enumerate(_coords_table(group)[1:].tolist(), 1))
         self.rep = np.minimum(self.one, self.neg)[1:] - 1  # min(h, -h)
-        self.block = BLOCK_ENTRIES // group.order ** 2
+        self.block = max(BLOCK_ENTRIES // group.order, 1)
+        self.square_block = max(BLOCK_ENTRIES // group.order ** 2, 1)
 
     @staticmethod
     def batch(hs):
@@ -236,7 +239,7 @@ class _GroupDomain:
         return None if R is None else _floats(R).reshape(self.group.order, self.group.order)
 
     def lin(self, a, c, x, y):
-        return self.add[a[x], c[y]]
+        return self.add.take(a[x] * self.order + c[y])
 
     @staticmethod
     def take(psi, x):
@@ -250,12 +253,12 @@ class _GroupDomain:
 
     def diff(self, f, *shift):
         """D_shift f for a block of shifts, on G (one element each) or on G x G (a pair)."""
-        n = self.group.order
+        n, s = self.order, self.add[shift[0]]
         # a block of rows reads its own row: row b starts at b n^len(shift)
         rows = np.arange(0, f.size, n ** len(shift))[:, None] if f.ndim > len(shift) else 0
         if len(shift) == 1:
-            return difference(f, self.add[shift[0]] + rows)
-        s, t = self.add[shift[0]], self.add[shift[1]]
+            return difference(f, s + rows if f.ndim > 1 else s)
+        t = self.add[shift[1]]
         return difference(f, (s * n + rows)[:, :, None] + t[:, None, :])
 
     @staticmethod
@@ -284,7 +287,7 @@ class _WindowDomain:
     final_tol = WINDOW_FINAL_TOL
     poly_tol = None
     one, zero = 1, 0
-    block = 1  # each shift shrinks the window by its own size
+    block = square_block = 1  # each shift shrinks the window by its own size
 
     def __init__(self, terms, R, l: int):
         base = math.lcm(*(abs(c) for *_, c in terms))
@@ -399,50 +402,67 @@ def _run_chain(mode, dom, terms, P, Q, R, l, final_tol):
     cancel_shifts = [dom.cancel_shifts(a, c) for _, a, c in parts]
     collapse_shifts = dom.cancel_shifts(dom.one, dom.one)  # (h, -h)
     # a group's degree-0 residual is max - min, so this R is one finite value,
-    # every difference of it is +0.0 and the square is never differenced:
-    # a block of shifts then differences arrays on G alone
+    # every difference of it is +0.0 and the square is never differenced
     constant = isinstance(dom, _GroupDomain) and r_cert.degree == 0 and r_cert.residual == 0.0
-    size = BLOCK_ENTRIES // dom.group.order if constant else dom.block
-    # blocks of representatives, ascending; a block walks up to the next one
-    edges = np.append(np.flatnonzero(dom.rep == np.arange(len(dom.shifts))), len(dom.shifts))
+    reps = np.flatnonzero(dom.rep == np.arange(len(dom.shifts)))  # ascending sweep positions
+    edges = np.append(reps, len(dom.shifts))
     found = np.empty((len(names) + 3, len(dom.shifts)))  # peaks by sweep position
-    for block in _blocks(len(edges) - 1, size):
-        h = dom.batch([dom.shifts[i][0] for i in edges[block]])
+    for start in range(0, len(reps), dom.block):
+        block = reps[start:start + dom.block]
+        hs = [dom.shifts[i][0] for i in block]
+        h = dom.batch(hs)
         live = [psi for psi, _, _ in parts]
-        p, r, after = P, R, []
+        p, after = P, []
         for i in range(len(names)):
-            s, t = h, cancel_shifts[i][h]
             # part j is psi_j(a_j u + c_j v): it moves by a_j s + c_j t on the base domain
             for j in range(i, len(parts)):
                 _, a, c = parts[j]
-                live[j] = dom.diff(live[j], dom.lin(a, c, s, t))
-            p = dom.diff(p, s)
-            r = r if constant else dom.diff(r, s, t)
+                live[j] = dom.diff(live[j], dom.lin(a, c, h, cancel_shifts[i][h]))
+            p = dom.diff(p, h)
             after.append(dom.peaks(live[i]))
         for _ in range(l + 1):
             p = dom.diff(p, h)
-            r = r if constant else dom.diff(r, h, collapse_shifts[h])
-        annihil = np.zeros(len(h)) if constant else dom.peaks(r)
-        found[:, edges[block]] = [*after, annihil, dom.peaks(dom.u_range(p, r)), dom.peaks(p)]
-        # walk shift by shift, so the first failure raises as unbatched
-        for at in range(edges[block.start], edges[block.stop]):
-            x, label = dom.shifts[at]
-            *after, annihil, collapse, direct = found[:, dom.rep[at]].tolist()
+        r, annihil = R, [np.zeros(len(hs))]
+        if not constant:  # R on the square, in sub-blocks of its own size
+            annihil = []
+            for b in range(0, len(hs), dom.square_block):
+                g = dom.batch(hs[b:b + dom.square_block])
+                r = R
+                for shifts in cancel_shifts:
+                    r = dom.diff(r, g, shifts[g])
+                for _ in range(l + 1):
+                    r = dom.diff(r, g, collapse_shifts[g])
+                annihil.append(dom.peaks(r))
+        covered = dom.u_range(p, r)  # all of p on a group
+        direct = dom.peaks(p)
+        collapse = direct if covered is p else dom.peaks(covered)
+        found[:, block] = [*after, np.concatenate(annihil), collapse, direct]
+        # every shift up to the next block reads its representative's peaks;
+        # the first failing one raises as a walk shift by shift would
+        lo, hi = edges[start], edges[start + len(block)]
+        cols = found[:, dom.rep[lo:hi]]
+        ok = (cols[:-2] <= final_tol).all(axis=0) & (np.maximum(cols[-2], cols[-1]) <= final_tol)
+        if not ok.all():
+            at = ok.argmin()
+            label = dom.shifts[lo + at][1]
+            *after, annihil, collapse, direct = cols[:, at].tolist()
             for i, (name, step) in enumerate(names):
                 _require(after[i], final_tol, f"step {step} failed to cancel {name}")
-            entry = dict(shift=label, annihilation=annihil, collapse=collapse, direct=direct)
-            if not trace.sweep:
-                trace.steps = [EliminationStep(step, (x, int(cancel_shifts[i][x])), name, after[i])
-                               for i, (name, step) in enumerate(names)]
-                trace.steps.append(EliminationStep("annihilate-cross", (x, int(collapse_shifts[x])),
-                                                   "r", annihil))
-            trace.sweep.append(entry)
             _require(annihil, final_tol, f"cross-term annihilation failed at shift {label}")
             _require(peak([collapse, direct]), final_tol,
                      f"target difference of order {order} fails to vanish at shift {label}")
-    trace.annihilation_residual = peak([e["annihilation"] for e in trace.sweep])
-    trace.collapse_residual = peak([e["collapse"] for e in trace.sweep])
-    trace.direct_residual = peak([e["direct"] for e in trace.sweep])
+        trace.sweep += [{"shift": dom.shifts[at][1], "annihilation": e[-3], "collapse": e[-2],
+                         "direct": e[-1]} for at, e in zip(range(lo, hi), cols.T.tolist())]
+    if reps.size:
+        x = dom.shifts[0][0]
+        *after, annihil = found[:-2, 0].tolist()
+        trace.steps = [EliminationStep(step, (x, int(cancel_shifts[i][x])), name, after[i])
+                       for i, (name, step) in enumerate(names)]
+        trace.steps.append(EliminationStep("annihilate-cross", (x, int(collapse_shifts[x])),
+                                           "r", annihil))
+    # every peak passed final_tol, so none is NaN
+    residuals = found[-3:, reps].max(axis=1, initial=0.0).tolist()
+    trace.annihilation_residual, trace.collapse_residual, trace.direct_residual = residuals
     trace.degree_bound = max(n, l)
     tol = None if dom.poly_tol is None else max(final_tol, dom.poly_tol)
     cert = min_degree(dom.function(P, l), n_max=trace.degree_bound, tol=tol)

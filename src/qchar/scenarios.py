@@ -512,7 +512,10 @@ def _run_cramer(payload: dict, tol: float) -> tuple[str, dict]:
         args = [char_fn(d) for d in (target, *factors)]
     else:
         args, tol = _circle_windows(payload), max(tol, 1e-8)
-    verdict, details = _conclude(cramer_check, *args, tol=tol)
+    try:
+        verdict, details = _conclude(cramer_check, *args, tol=tol)
+    except UndefinedLogError as exc:  # the target's spectrum vanishes on the window
+        return "fail", {"reason": str(exc)}
     if verdict == "pass" and details["mode"] == "circle" and any(
             v["verdict"] != "gaussian" for v in details["verdicts"]):
         return "fail", details

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import qchar.characterizers as characterizers
 import qchar.polynomials as polynomials
 from qchar import kernels
 
@@ -33,7 +34,6 @@ from qchar.groups import (
     adjoint,
     multiplication_map,
 )
-from qchar.polynomials import GroupFunction
 from qchar.measures import (
     Distribution,
     char_fn,
@@ -266,27 +266,11 @@ def test_locate_character_rejects_all_nan_values():
     assert _locate_character(g, np.ones(5)).coords == (0,)
 
 
-def test_check_q_rejects_a_nan_origin():
-    from qchar.characterizers import _check_q
-
-    g = FiniteAbelianGroup((5,))
-    sq = FiniteAbelianGroup((5, 5))
-    q = np.zeros(25)
-    q[0] = np.nan
-    with pytest.raises(ValueError, match="vanish at zero"):
-        _check_q(g, GroupFunction(sq, q))
-    assert _check_q(g, GroupFunction(sq, np.zeros(25))).shape == (5, 5)
-
-
 # -- the blocked dual-square checks against their dense |G| x |G| forms ----------
 #
 # Each reference builds the whole |G| x |G| array of defects and takes one max,
 # as the checks did before they ran in row blocks.  Z_257 and Z_16 x Z_16 hold
 # 66049 and 65536 pairs, several blocks of polynomials.BLOCK_ENTRIES.
-
-
-def _dense_q(group, q):
-    return None if q is None else np.asarray(q.values).reshape(group.order, group.order)
 
 
 def _dense_kb_residual(inst):
@@ -296,9 +280,6 @@ def _dense_kb_residual(inst):
     u = np.arange(n)[:, None]
     lhs = f1[_add(group, u, u.T)] * f2[_add(group, u, neg[u.T])]
     rhs = (f1 * f2)[:, None] * (f1 * f2[neg[np.arange(n)]])[None, :]
-    qm = _dense_q(group, inst.q)
-    if qm is not None:
-        rhs = rhs * np.exp(qm)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -314,9 +295,6 @@ def _dense_sd_residual(inst):
         col *= vals[A]
         row *= vals[B]
     rhs = col[:, None] * row[None, :]
-    qm = _dense_q(inst.group, inst.q)
-    if qm is not None:
-        rhs = rhs * np.exp(qm)
     return float(np.abs(lhs - rhs).max())
 
 
@@ -358,23 +336,16 @@ def _dense_doubled_residual(inst):
     return float(np.abs(lhs - rhs).max())
 
 
-def _random_q(g, rng):
-    values = 0.1 * (rng.random(g.order ** 2) + 1j * rng.random(g.order ** 2))
-    values[0] = 0.0
-    return GroupFunction(FiniteAbelianGroup(g.orders + g.orders), values)
-
-
-def _check_blocked_against_dense(g, units, with_q):
+def _check_blocked_against_dense(g, units, heyde):
     rng = np.random.default_rng(g.order)
     cf = lambda: char_fn(random_distribution(g, rng))
-    q = _random_q(g, rng) if with_q else None
-    kb = KBInstance(g, cf(), cf(), q=q)
+    kb = KBInstance(g, cf(), cf())
     assert kb_equation_residual(kb) == _dense_kb_residual(kb) > 0.0
     sd = SDInstance(g, cfs=[cf() for _ in range(3)],
                     alphas=[mult(g, int(rng.choice(units))) for _ in range(3)],
-                    betas=[mult(g, int(rng.choice(units))) for _ in range(3)], q=q)
+                    betas=[mult(g, int(rng.choice(units))) for _ in range(3)])
     assert sd_equation_residual(sd) == _dense_sd_residual(sd) > 0.0
-    if not with_q:
+    if not heyde:
         return
     # a joint law lives on G x G, so G is no larger than a witness's
     joint = product_joint([random_distribution(g, rng), random_distribution(g, rng)])
@@ -395,18 +366,19 @@ def _check_blocked_against_dense(g, units, with_q):
                          ids=["z257", "z16xz16"])
 def test_blocked_residuals_are_bitwise_the_dense_ones(orders, units):
     # |G|^2 = 66049 and 65536 pairs: five and four blocks of BLOCK_ENTRIES
-    _check_blocked_against_dense(FiniteAbelianGroup(orders), units, with_q=False)
+    _check_blocked_against_dense(FiniteAbelianGroup(orders), units, heyde=False)
 
 
-# the dual square of a witness is a group, so |G|^2 <= ORDER_CAP < BLOCK_ENTRIES:
-# smaller blocks split those squares, 1 into single rows and 727 into uneven ones
+# a joint law, whose symmetry witness the Heyde checks read, lives on the group
+# G x G, so |G|^2 <= ORDER_CAP < BLOCK_ENTRIES: smaller blocks split those
+# squares, 1 into single rows and 727 into uneven ones
 @pytest.mark.parametrize("block_entries", [1, 727, polynomials.BLOCK_ENTRIES])
 @pytest.mark.parametrize("orders, units", [((61,), (1, 2, 3, 5)), ((8, 8), (1, 3, 5, 7))],
                          ids=["z61", "z8xz8"])
 def test_blocked_residuals_with_a_witness_are_bitwise_the_dense_ones(
         monkeypatch, orders, units, block_entries):
     monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", block_entries)
-    _check_blocked_against_dense(FiniteAbelianGroup(orders), units, with_q=True)
+    _check_blocked_against_dense(FiniteAbelianGroup(orders), units, heyde=True)
 
 
 # the defect at (u, -v) is minus the one at (u, v), so only v <= -v is evaluated
@@ -433,35 +405,53 @@ def test_half_width_symmetry_peaks_are_bitwise_the_full_width_ones(
         assert (symmetry_witness(inst) is not None) == passes
 
 
-def _nan_in_the_last_row_block(g):
-    """A zero witness on the dual square, but NaN in the row of u = |G| - 1."""
-    values = np.zeros(g.order ** 2, dtype=np.complex128)
-    values[(g.order - 1) * g.order + 3] = np.nan
-    return GroupFunction(FiniteAbelianGroup(g.orders + g.orders), values)
+def _nan_in_the_last_row(monkeypatch, n):
+    """Make every dual-square defect NaN in the row of u = n - 1, the last block's."""
+    real = characterizers._pair_peak
+
+    def poisoned(count, width, defect):
+        def rows(u):
+            d = defect(u)
+            d[u[:, 0] == n - 1, 3] = np.nan
+            return d
+        return real(count, width, rows)
+
+    monkeypatch.setattr(characterizers, "_pair_peak", poisoned)
 
 
-def test_a_nan_witness_entry_in_the_last_block_fails_kb(monkeypatch):
+def test_a_nan_entry_in_the_last_row_block_fails_kb(monkeypatch):
     monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", 727)  # rows 0-10, ..., 55-60 of Z_61
     g = FiniteAbelianGroup((61,))
     sub = Subgroup.trivial(g)
-    inst = KBInstance(g, char_fn(shifted_haar(g, (3,), sub)), char_fn(shifted_haar(g, (5,), sub)))
-    assert kb_equation_residual(inst) < 1e-12  # the identity holds without the witness
-    inst.q = _nan_in_the_last_row_block(g)
+    make = lambda: KBInstance(g, char_fn(shifted_haar(g, (3,), sub)),
+                              char_fn(shifted_haar(g, (5,), sub)))
+    inst = make()
+    assert kb_equation_residual(inst) < 1e-12
+    inst.cf1.values[60] = np.nan  # a transform value, read by every row
     assert np.isnan(kb_equation_residual(inst))
     with pytest.raises(HypothesisError):
         kb_factorize(inst)
+    _nan_in_the_last_row(monkeypatch, 61)
+    assert np.isnan(kb_equation_residual(make()))
+    with pytest.raises(HypothesisError):
+        kb_factorize(make())
 
 
-def test_a_nan_witness_entry_in_the_last_block_fails_sd(monkeypatch):
+def test_a_nan_entry_in_the_last_row_block_fails_sd(monkeypatch):
     monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", 727)
     g = FiniteAbelianGroup((61,))
-    inst = SDInstance(g, cfs=(char_fn(degenerate(g, (2,))), char_fn(degenerate(g, (4,)))),
-                      alphas=(mult(g, 1), mult(g, 2)), betas=(mult(g, 3), mult(g, 1)))
+    make = lambda: SDInstance(g, cfs=(char_fn(degenerate(g, (2,))), char_fn(degenerate(g, (4,)))),
+                              alphas=(mult(g, 1), mult(g, 2)), betas=(mult(g, 3), mult(g, 1)))
+    inst = make()
     assert sd_equation_residual(inst) < 1e-12
-    inst.q = _nan_in_the_last_row_block(g)
+    inst.cfs[1].values[60] = np.nan
     assert np.isnan(sd_equation_residual(inst))
     with pytest.raises(HypothesisError):
         sd_conclude(inst)
+    _nan_in_the_last_row(monkeypatch, 61)
+    assert np.isnan(sd_equation_residual(make()))
+    with pytest.raises(HypothesisError):
+        sd_conclude(make())
 
 
 def test_kb_factorize_at_the_order_cap_allocates_far_below_a_square_table():

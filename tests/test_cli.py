@@ -6,6 +6,7 @@ import sys
 import time
 import tracemalloc
 import warnings
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -108,7 +109,7 @@ def _recursive_json(obj) -> str:
 def test_canonical_json_matches_the_recursive_emitter_on_every_golden_report():
     golden = json.loads((Path(__file__).parent / "golden" / "reports.json").read_text("utf-8"))
     texts = [r["stdout"].rstrip("\n") for r in golden["run"].values() if r["stdout"]]
-    assert len(texts) == 5
+    assert len(texts) == 6
     for text in texts:
         payload = json.loads(text)
         assert canonical_json(payload) == _recursive_json(payload) == text
@@ -135,6 +136,104 @@ def test_canonical_json_matches_the_recursive_emitter_on_other_types():
     assert canonical_json(report) == _recursive_json(report)
     for value in report.values():
         assert canonical_json(value) == _recursive_json(value)
+
+
+def _typed_emit(obj, out: list):
+    """The type-dispatch emitter that canonical_json replaced (an index test per
+    item and format(x, ".17g")), kept as its oracle."""
+    kind = type(obj)
+    if kind is float:
+        if not math.isfinite(obj):
+            raise ValueError("non-finite float in report")
+        out.append(format(obj, ".17g"))
+    elif kind is str:
+        out.append(encode_basestring_ascii(obj))
+    elif kind is dict:
+        out.append("{")
+        for i, key in enumerate(sorted(obj)):
+            if not isinstance(key, str):
+                raise ValueError(f"non-string report key {key!r}")
+            if i:
+                out.append(",")
+            out.append(encode_basestring_ascii(key) + ":")
+            _typed_emit(obj[key], out)
+        out.append("}")
+    elif kind is list or kind is tuple:
+        out.append("[")
+        for i, item in enumerate(obj):
+            if i:
+                out.append(",")
+            _typed_emit(item, out)
+        out.append("]")
+    elif obj is None or kind is bool:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif isinstance(obj, int):
+        out.append(str(obj))
+    elif isinstance(obj, float):
+        _typed_emit(float(obj), out)
+    elif isinstance(obj, (list, tuple)):
+        _typed_emit(list(obj), out)
+    elif isinstance(obj, dict):
+        _typed_emit(dict(obj), out)
+    elif hasattr(obj, "item"):
+        _typed_emit(obj.item(), out)
+    else:
+        raise ValueError(f"unserializable report value {type(obj).__name__}")
+
+
+def _typed_json(obj) -> str:
+    parts: list[str] = []
+    _typed_emit(obj, parts)
+    return "".join(parts)
+
+
+def _golden_texts() -> list[str]:
+    """Every canonical text under tests/golden: run reports and chain traces."""
+    golden = Path(__file__).parent / "golden"
+    reports = json.loads((golden / "reports.json").read_text("utf-8"))["run"].values()
+    texts = [r["stdout"].rstrip("\n") for r in reports if r["stdout"]]
+    for name in ("chain_traces.json", "constant_chain_traces.json"):
+        texts += json.loads((golden / name).read_text("utf-8")).values()
+    return texts
+
+
+def test_canonical_json_matches_the_typed_emitter_on_every_golden_text():
+    texts = _golden_texts()
+    assert len(texts) > 6
+    for text in texts:
+        payload = json.loads(text)
+        assert canonical_json(payload) == _typed_json(payload) == text
+
+
+@pytest.mark.parametrize("kind", ["independence-collapse", "convolution"])
+def test_canonical_json_matches_the_typed_emitter_on_the_readme_sweeps(kind):
+    report = run_sweep(kind, seed=7, count=50, max_order=12)
+    assert canonical_json(report) == _typed_json(report)
+
+
+def test_canonical_json_matches_the_typed_emitter_on_edge_values():
+    floats = [-0.0, 5e-324, 1e-17, 2.0 ** 53 + 2, 0.1, -1.5e300]
+    assert ["%.17g" % x for x in floats] == [format(x, ".17g") for x in floats]
+    values = [*floats, *map(np.float64, floats), np.int64(-7), np.int64(2 ** 62), np.bool_(True),
+              np.bool_(False), (), [], {}, "", (1, (2.5, "x"), ()), [[[]], [{}]],
+              {"a": {"b": [(), {"c": None}]}, "": [True, False, None]}]
+    for value in values:
+        assert canonical_json(value) == _typed_json(value)
+    assert canonical_json(values) == _typed_json(values)
+    assert canonical_json({"v": tuple(values)}) == _typed_json({"v": tuple(values)})
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                 [0.5, {"x": -math.inf}], {1: "x"}, {"a": {(1,): 2}},
+                                 {"x": object()}, [b"bytes"], {1, 2}])
+def test_canonical_json_raises_the_typed_emitter_errors(bad):
+    with pytest.raises(ValueError) as want:
+        _typed_json(bad)
+    with pytest.raises(ValueError) as got:
+        canonical_json(bad)
+    assert str(got.value) == str(want.value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, -math.inf, np.float64(math.inf), [1.0, math.nan],
@@ -424,6 +523,26 @@ def test_circle_sigma_takes_rational_strings(tmp_path, capsys):
     code, out, _ = _run_edited(tmp_path, capsys, scn)
     assert code == 0
     assert out == want
+
+
+def test_circle_cramer_without_exact_logs_runs_to_a_verdict(monkeypatch, capsys):
+    # a perturbed target drops its exact logs: a spectrum that vanishes on the
+    # window fails, one that does not goes through the unwrapped log
+    from qchar import witnesses
+
+    unwrapped = []
+    real = witnesses._continuous_log
+    monkeypatch.setattr(witnesses, "_continuous_log",
+                        lambda values: unwrapped.append(values.shape) or real(values))
+    vanish, perturbed = json.loads((DATA / "circle_logs.json").read_text("utf-8"))["scenarios"]
+    report = run_scenario(vanish)
+    assert (report["verdict"], report["matched"]) == ("fail", True)
+    assert report["details"] == {"reason": "spectral values vanish on the window"}
+    assert unwrapped == []
+    report = run_scenario(perturbed)
+    assert (report["verdict"], report["matched"]) == ("pass", True)
+    assert unwrapped == [(7,)]
+    assert run_cli(["run", DATA / "circle_logs.json"], capsys)[0] == 0
 
 
 def test_circle_cramer_at_the_radius_cap_is_bounded(tmp_path, capsys):

@@ -275,6 +275,25 @@ def _constant_cross_term_chain(noise, rng):
     return EliminationProblem(terms=problem.terms, r_degree=0, R=zero)
 
 
+def _noisy_z4_z16_chain():
+    return _first_coordinate_chain((4, 16), (1, 3, 5), 1e-12, np.random.default_rng(12))
+
+
+def _largest_peak(problem):
+    trace = run_pexider_chain(problem)
+    return max(trace.annihilation_residual, trace.collapse_residual, trace.direct_residual)
+
+
+def _edge_nan_window_terms(radius=101):
+    """psi1 (b = 2) with NaN at +radius, psi2 (b = 1): the premise, P and Q stop
+    short of that entry (radius odd, not a multiple of 3).  Cancelling term 2
+    moves psi1 by -h, which drops the entry at h = +2 and keeps it at h = -2."""
+    psi1 = tabulate(radius, 1, lambda x: float(x * x - 3 * x))
+    psi1 = WindowFunction(psi1.window, np.where(np.arange(2 * radius + 1) == 2 * radius, np.nan,
+                                                psi1.values))
+    return [(psi1, 2), (tabulate(radius, 1, lambda x: float(2 * x * x + x)), 1)]
+
+
 def _oracle_chains():
     rng = np.random.default_rng(12)
     chains = []
@@ -300,6 +319,20 @@ def _oracle_chains():
     noisy = _constant_cross_term_chain(1e-14, rng)
     for tol in (None, 1e-15):
         chains.append(lambda p=noisy, t=tol: run_pexider_chain(p, final_tol=t))
+    # a non-constant R on Z_4 x Z_16 first fails at [1, 0], the 9th representative:
+    # in the third R sub-block of four at the default block size
+    noisy = _noisy_z4_z16_chain()
+    for tol in (None, 1e-15, _largest_peak(noisy), np.nextafter(_largest_peak(noisy), 0.0)):
+        chains.append(lambda p=noisy, t=tol: run_pexider_chain(p, final_tol=t))
+    # a term with one NaN entry: the premise reads it on a group; on a window
+    # the sweep reads an edge entry the premise does not, first at shift -2
+    g = FiniteAbelianGroup((7,))
+    nan_term = GroupFunction(g, np.where(np.arange(7) == 4, np.nan, 0.3))
+    chains.append(lambda: run_pexider_chain(EliminationProblem(
+        terms=[(nan_term, Automorphism.multiplication(g, 1)),
+               (GroupFunction(g, np.full(7, 0.5)), Automorphism.multiplication(g, 3))])))
+    for terms in (_edge_nan_window_terms(), _edge_nan_window_terms()[::-1]):
+        chains.append(lambda t=terms: run_pexider_chain(EliminationProblem(terms=t, r_degree=2)))
     chains.append(lambda: run_pexider_chain(window_pexider_problem()))
     chains.append(lambda: run_heyde_chain(tabulate(112, 1, lambda x: float(x * x)),
                                           tabulate(112, 1, lambda x: float(2 * x * x)), 1,
@@ -318,10 +351,48 @@ def test_blocked_sweep_matches_the_per_shift_loop(monkeypatch, block_entries):
         monkeypatch.setattr(elimination, "BLOCK_ENTRIES", block_entries)
         assert _outcome(run) == want
         outcomes.append(want)
-    # the noisy chains under final_tol 1e-15 fail after their first shift
-    failures = [o for o in outcomes if isinstance(o, tuple)]
-    assert failures and all("at shift" in msg for msg, _ in failures)
-    assert any("at shift [1, 0]" in msg for msg, _ in failures)
+    # the noisy chains under final_tol 1e-15 fail after their first shift; the
+    # NaN chains fail the premise or a cancel step
+    failures = [msg for msg, _ in (o for o in outcomes if isinstance(o, tuple))]
+    assert all("at shift" in msg or "residual nan" in msg for msg in failures)
+    assert any("at shift [1, 0]" in msg for msg in failures)
+    assert any(msg.startswith("identity residual nan") for msg in failures)
+    assert any(msg.startswith("step cancel-term-1 failed") for msg in failures)
+
+
+def test_a_deciding_peak_equal_to_final_tol_passes():
+    problem = _noisy_z4_z16_chain()
+    top = _largest_peak(problem)
+    assert top > 0.0
+    assert run_pexider_chain(problem, final_tol=top).to_dict() == run_pexider_chain(problem).to_dict()
+    with pytest.raises(PremiseError, match="at shift") as err:
+        run_pexider_chain(problem, final_tol=np.nextafter(top, 0.0))
+    assert err.value.residual == top
+
+
+def test_a_window_cancel_step_first_fails_at_a_later_shift(monkeypatch):
+    checked = []
+    real = elimination._require
+
+    def recording(residual, tol, message):
+        checked.append(message)
+        real(residual, tol, message)
+
+    monkeypatch.setattr(elimination, "_require", recording)
+    problem = EliminationProblem(terms=_edge_nan_window_terms(), r_degree=2)
+    with pytest.raises(PremiseError, match="step cancel-term-1 failed") as err:
+        run_pexider_chain(problem)
+    assert np.isnan(err.value.residual)
+    # the one-pass sweep checks step by step at the failing shift alone
+    assert checked == ["step cancel-term-2 failed to cancel term2",
+                       "step cancel-term-1 failed to cancel term1"]
+    # shift by shift, the first shift (+2) passes every check
+    checked.clear()
+    monkeypatch.setattr(elimination, "_run_chain", _ref_run_chain)
+    with pytest.raises(PremiseError, match="step cancel-term-1 failed"):
+        run_pexider_chain(problem)
+    assert "target difference of order 6 fails to vanish at shift 2" in checked
+    assert checked[-1] == "step cancel-term-1 failed to cancel term1"
 
 
 @pytest.mark.parametrize("block_entries", [1, 727, elimination.BLOCK_ENTRIES])
@@ -332,8 +403,8 @@ def test_group_square_difference_matches_a_per_shift_gather(monkeypatch, orders,
     n, add = dom.group.order, dom.add
     rng = np.random.default_rng(17)
     f = rng.standard_normal((n, n))
-    for block in elimination._blocks(len(dom.shifts), dom.block):
-        s = np.arange(block.start + 1, block.stop + 1)
+    for start in range(0, len(dom.shifts), dom.square_block):
+        s = np.arange(start + 1, min(start + dom.square_block, len(dom.shifts)) + 1)
         t = dom.neg[s]  # the collapse pair (h, -h)
         rows = rng.standard_normal((len(s), n, n))  # a block of differenced rows
         for got, base in ((dom.diff(f, s, t), [f] * len(s)), (dom.diff(rows, s, t), rows)):
@@ -342,18 +413,30 @@ def test_group_square_difference_matches_a_per_shift_gather(monkeypatch, orders,
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-def test_constant_cross_term_oracle_chain_fails_inside_its_second_block():
+def test_constant_cross_term_oracle_chain_fails_inside_its_second_block(monkeypatch):
     problem = _constant_cross_term_chain(1e-14, np.random.default_rng(3))
     assert run_pexider_chain(problem).cross_degree == 0
-    # the lone first shift, then one block of the other 31 shifts
-    blocks = elimination._blocks(32, elimination.BLOCK_ENTRIES // 33)
-    assert [(b.start, b.stop) for b in blocks] == [(0, 1), (1, 32)]
+    # Z_3 x Z_11 has 16 representatives min(h, -h): [0, 1]..[0, 5] (flat 1-5),
+    # then [1, 0]..[1, 10] (flat 11-21); five a block start the second at [1, 0]
+    monkeypatch.setattr(elimination, "BLOCK_ENTRIES", 5 * 33)
+    heads = []
+    batch = elimination._GroupDomain.batch
+
+    def recording(hs):
+        heads.append(hs[0])
+        return batch(hs)
+
+    monkeypatch.setattr(elimination._GroupDomain, "batch", staticmethod(recording))
+    assert len(run_pexider_chain(problem).sweep) == 32
+    assert heads == [1, 11, 16, 21]
+    heads.clear()
     with pytest.raises(PremiseError, match=r"at shift \[1, 0\]") as err:
         run_pexider_chain(problem, final_tol=1e-15)
     assert err.value.residual > 1e-15
+    assert heads == [1, 11]
 
 
-def test_a_constant_cross_term_sweeps_z64_in_two_blocks(monkeypatch):
+def test_a_constant_cross_term_sweeps_z64_in_one_block(monkeypatch):
     g = FiniteAbelianGroup((64,))
     terms = [(GroupFunction(g, np.full(64, c)), Automorphism.multiplication(g, m))
              for c, m in ((0.7, 1), (-0.2, 3))]
@@ -367,6 +450,7 @@ def test_a_constant_cross_term_sweeps_z64_in_two_blocks(monkeypatch):
     monkeypatch.setattr(elimination._GroupDomain, "diff", counting)
     trace = run_pexider_chain(EliminationProblem(terms=terms, r_degree=0))
     assert len(trace.sweep) == 63 and trace.annihilation_residual == 0.0
-    # a block differences the terms (n+1)(n+2)/2 times and P n+l+2 times, R never
+    # the 32 representatives fit one block of BLOCK_ENTRIES // 64 = 256: it
+    # differences the terms (n+1)(n+2)/2 times and P n+l+2 times, R never
     n, l = 2, 0
-    assert calls == [1] * 2 * ((n + 1) * (n + 2) // 2 + n + l + 2)
+    assert calls == [1] * ((n + 1) * (n + 2) // 2 + n + l + 2)

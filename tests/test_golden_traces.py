@@ -30,7 +30,6 @@ from qchar.polynomials import (
     GroupFunction,
     IntegerWindow,
     WindowFunction,
-    _blocks,
 )
 
 GOLDEN = Path(__file__).parent / "golden" / "chain_traces.json"
@@ -203,11 +202,11 @@ def test_only_a_non_constant_cross_term_is_differenced_on_the_square(monkeypatch
     if name != "pexider-Z61-one-ulp":
         assert sum(square) == 0
     else:
-        # three terms, degree 0: n + l + 2 = 5 square differences a block of
-        # shifts; a block holds representatives min(h, -h) only
+        # three terms, degree 0: n + l + 2 = 5 square differences a sub-block
+        # of BLOCK_ENTRIES // |G|^2 = 4 of the 30 representatives min(h, -h)
         representatives = sum(h <= Z61.order - h for h in range(1, Z61.order))
-        blocks = _blocks(representatives, BLOCK_ENTRIES // Z61.order ** 2)
-        assert sum(square) == 5 * len(blocks)
+        sub_blocks = -(-representatives // (BLOCK_ENTRIES // Z61.order ** 2))
+        assert sum(square) == 5 * sub_blocks == 5 * 8
 
 
 def test_smallest_window_radius_that_runs():
