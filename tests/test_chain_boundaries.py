@@ -43,7 +43,7 @@ def _premise(trace) -> float:
 
 def _off_at(values, index, delta):
     values = np.array(values, dtype=np.float64)
-    values[np.unravel_index(index, values.shape) if np.ndim(index) == 0 else index] += delta
+    values[index] += delta
     return values
 
 
