@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .circle import DENSITY_TOL, GaussianSpec, _grid_density, gaussian_check
+from .circle import DENSITY_TOL, _grid_density, gaussian_check
 from .elimination import EliminationProblem, EliminationTrace, run_heyde_chain, run_pexider_chain
 from .errors import (
     FactorizationError,

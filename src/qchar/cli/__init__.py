@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite
 
@@ -139,12 +138,7 @@ def _cmd_run(args) -> int:
         where, scenario = located
         return _located(where, run_scenario, scenario, profile)
 
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            reports = list(pool.map(one, scenarios))
-    else:
-        reports = [one(s) for s in scenarios]
-    return _finish(reports, args.out)
+    return _finish([one(s) for s in scenarios], args.out)
 
 
 def _sweep_arities(args) -> tuple[int, ...]:
@@ -219,8 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run scenario files")
     p_run.add_argument("files", nargs="+", help="scenario JSON files")
     p_run.add_argument("--out", default=None, help="write the report here")
-    p_run.add_argument("--workers", type=int, default=1,
-                       help="thread pool size for independent scenarios")
     p_run.add_argument("--tolerance-profile", choices=["default", "strict"],
                        default="default")
     p_run.set_defaults(func=_cmd_run)

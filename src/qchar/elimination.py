@@ -61,7 +61,6 @@ from .polynomials import (
     WindowFunction,
     _centre,
     _radius,
-    delta,
     difference,
     min_degree,
     peak,
@@ -72,7 +71,6 @@ __all__ = [
     "EliminationProblem",
     "EliminationStep",
     "EliminationTrace",
-    "substitute_and_subtract",
     "run_pexider_chain",
     "run_heyde_chain",
 ]
@@ -158,26 +156,6 @@ class EliminationProblem:
                     raise GroupMismatchError("window terms must be dim-1 window functions")
                 if int(b) == 0:
                     raise KernelConditionError("zero coefficient is not invertible")
-
-
-def substitute_and_subtract(F, shift):
-    """One elimination step D_{(s,t)} F(u,v) = F(u+s, v+t) - F(u,v).
-
-    F is a GroupFunction on a product group G x G (even rank split in the
-    middle) or a dim-2 WindowFunction; shift is the pair (s, t).
-    """
-    if isinstance(F, WindowFunction):
-        if F.window.dim != 2:
-            raise GroupMismatchError("expected a dim-2 window function")
-        return delta(F, tuple(int(c) for c in shift))
-    if isinstance(F, GroupFunction):
-        k = F.group.rank
-        if k % 2:
-            raise GroupMismatchError("square-domain group must have even rank")
-        half = FiniteAbelianGroup(F.group.orders[: k // 2])
-        s, t = shift
-        return delta(F, half.as_index(s) * half.order + half.as_index(t))
-    raise TypeError(f"unsupported square function {type(F).__name__}")
 
 
 def _square_radius(terms, r_radius: int | None = None) -> int:

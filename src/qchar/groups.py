@@ -46,7 +46,6 @@ __all__ = [
     "element_order",
     "primary_component",
     "generating_set",
-    "quotient",
     "all_subgroups",
     "groups_up_to_order",
 ]
@@ -514,82 +513,9 @@ def primary_component(group: FiniteAbelianGroup, p: int) -> Subgroup:
                                  if p ** o.bit_length() % o == 0))
 
 
-def _diagonalize(mat: list[list[int]]) -> tuple[list[int], list[list[int]]]:
-    """Integer diagonalization by unimodular row/column operations.
-
-    Returns (diagonal entries, U) with U @ mat @ V diagonal; only the row
-    transform U is tracked since column operations do not affect quotient
-    coordinates.
-    """
-    A = [[int(v) for v in row] for row in mat]
-    k = len(A)
-    c = len(A[0]) if k else 0
-    U = [[int(i == j) for j in range(k)] for i in range(k)]
-    t = 0
-    while t < k and t < c:
-        piv = None
-        for i in range(t, k):
-            for j in range(t, c):
-                if A[i][j] != 0 and (piv is None or abs(A[i][j]) < abs(A[piv[0]][piv[1]])):
-                    piv = (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        A[t], A[i0] = A[i0], A[t]
-        U[t], U[i0] = U[i0], U[t]
-        for row in A:
-            row[t], row[j0] = row[j0], row[t]
-        clean = False
-        while not clean:
-            clean = True
-            for i in range(t + 1, k):
-                if A[i][t] != 0:
-                    q = A[i][t] // A[t][t]
-                    A[i] = [a - q * b for a, b in zip(A[i], A[t])]
-                    U[i] = [a - q * b for a, b in zip(U[i], U[t])]
-                    if A[i][t] != 0:
-                        A[t], A[i] = A[i], A[t]
-                        U[t], U[i] = U[i], U[t]
-                        clean = False
-            for j in range(t + 1, c):
-                if A[t][j] != 0:
-                    q = A[t][j] // A[t][t]
-                    for row in A:
-                        row[j] -= q * row[t]
-                    if A[t][j] != 0:
-                        for row in A:
-                            row[t], row[j] = row[j], row[t]
-                        clean = False
-        t += 1
-    diag = [abs(A[i][i]) if i < c else 0 for i in range(k)]
-    return diag, U
-
-
 def generating_set(sub: Subgroup) -> list[int]:
     """Small generating set of a subgroup, greedy over its element list."""
     return list(sub._generators)
-
-
-def quotient(group: FiniteAbelianGroup, sub: Subgroup) -> tuple[FiniteAbelianGroup, GroupHom]:
-    """Quotient group as a cyclic product plus the projection homomorphism."""
-    if sub.group != group:
-        raise GroupMismatchError("subgroup lives on a different group")
-    k = group.rank
-    cols: list[list[int]] = [[0] * k for _ in range(k)]
-    for j, n in enumerate(group.orders):
-        cols[j][j] = n
-    for g in generating_set(sub):
-        cols_g = list(group.coords(g))
-        for j in range(k):
-            cols[j].append(cols_g[j])
-    diag, U = _diagonalize(cols) if k else ([], [])
-    kept = [i for i, d in enumerate(diag) if d > 1]
-    q_group = FiniteAbelianGroup(tuple(diag[i] for i in kept))
-    U_arr = np.asarray(U, dtype=np.int64).reshape(k, k)
-    proj = GroupHom(group, q_group, _linear_table(group, q_group, U_arr[kept]))
-    if q_group.order * sub.order != group.order or set(proj.kernel().elements) != set(sub.elements):
-        raise InvalidSubgroupError("quotient construction failed internal checks")
-    return q_group, proj
 
 
 def all_subgroups(group: FiniteAbelianGroup) -> list[Subgroup]:

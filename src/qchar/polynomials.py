@@ -45,8 +45,6 @@ __all__ = [
     "PolynomialCertificate",
     "tabulate",
     "difference",
-    "delta",
-    "iterated_delta",
     "is_polynomial",
     "min_degree",
     "constancy_check",
@@ -212,27 +210,9 @@ def difference(values, move):
     return values[tuple(slice(off + c, off + c + 2 * r + 1) for c in move)] - _centre(values, r)
 
 
-def delta(f, h):
-    """Forward difference D_h f(y) = f(y + h) - f(y)."""
-    if isinstance(f, GroupFunction):
-        moved = _add(f.group, np.arange(f.group.order), f.group.as_index(h))
-        return GroupFunction(f.group, difference(f.values, moved))
-    h = tuple(int(c) for c in np.atleast_1d(h))
-    if len(h) != f.window.dim:
-        raise GroupMismatchError("shift dimension does not match window")
-    d = difference(f.values, h)
-    return WindowFunction(IntegerWindow(_radius(d), f.window.dim), d)
-
-
-def iterated_delta(f, h, times: int):
-    for _ in range(times):
-        f = delta(f, h)
-    return f
-
-
 def _blocks(count: int, size: int):
-    """Slices of range(count): the first shift alone, where a failing degree or
-    chain almost always fails, then up to ``size`` shifts each."""
+    """Slices of a group degree scan's range(count): the first shift alone,
+    where a failing degree almost always fails, then up to ``size`` shifts each."""
     edges = [0, *range(1, count, max(size, 1)), count] if count else []
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 

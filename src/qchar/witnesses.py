@@ -16,7 +16,6 @@ import numpy as np
 from .errors import GroupMismatchError, UndefinedLogError
 from .groups import FiniteAbelianGroup
 from .measures import (
-    CharacteristicFunction,
     JointDistribution,
     _char_fn_rows,
     _marginal_cf_product,
@@ -28,8 +27,6 @@ from .polynomials import (
     IntegerWindow,
     WindowFunction,
     fit_polynomial_window,
-    min_degree,
-    peak,
     poly_eval,
     within,
 )
@@ -37,9 +34,7 @@ from .polynomials import (
 __all__ = [
     "QWitness",
     "SpectralJoint",
-    "verify_q_independence",
     "extract_q_witness",
-    "q_identical_witness",
 ]
 
 GROUP_Q_TOL = 1e-9
@@ -92,36 +87,6 @@ def _marginal_product_grid(sj: SpectralJoint) -> np.ndarray:
     a = sj.marginals[0].values
     b = sj.marginals[1].values
     return np.multiply.outer(a, b)
-
-
-def _validate_q(q, tol_zero: float = 1e-10):
-    origin = q.value((0,) * q.window.dim) if isinstance(q, WindowFunction) else q.value(0)
-    if not within(abs(origin), tol_zero):
-        raise ValueError(f"witness must vanish at zero, got {origin!r}")
-    if isinstance(q, GroupFunction):
-        if not within(peak(q.values), tol_zero):
-            raise ValueError("on a finite group a polynomial witness is identically zero")
-    else:
-        if min_degree(q) is None:
-            raise ValueError("witness fails the window polynomial test")
-
-
-def verify_q_independence(joint, q, tol: float | None = None) -> float:
-    """Max residual of joint-transform = product-of-marginals * exp(q)."""
-    if isinstance(joint, JointDistribution):
-        if not isinstance(q, GroupFunction) or q.group != joint.product_group:
-            raise GroupMismatchError("witness must live on the dual product group")
-        _validate_q(q)
-        lhs = joint.joint_cf().values
-        rhs = joint.marginal_cf_product() * np.exp(np.asarray(q.values))
-        return float(np.abs(lhs - rhs).max())
-    if isinstance(joint, SpectralJoint):
-        if not isinstance(q, WindowFunction) or q.window != joint.joint.window:
-            raise GroupMismatchError("witness window does not match joint window")
-        _validate_q(q)
-        rhs = _marginal_product_grid(joint) * np.exp(np.asarray(q.values))
-        return float(np.abs(joint.joint.values - rhs).max())
-    raise TypeError(f"unsupported joint data {type(joint).__name__}")
 
 
 def _unwrap_axis(values: np.ndarray, start_phase: np.ndarray, axis: int) -> np.ndarray:
@@ -244,42 +209,3 @@ def extract_q_witness(joint, d_max: int = DEGREE_CAP, tol: float | None = None):
         )
     q_vals = _continuous_log(joint.joint.values) - _continuous_log(prod)
     return _window_witness(win, q_vals, value_residual, d_cap, tol)
-
-
-def q_identical_witness(f1, f2, d_max: int = DEGREE_CAP, tol: float | None = None):
-    """Witness for f1 = f2 * exp(q); same collapse logic as extraction.
-
-    Accepts a pair of CharacteristicFunction (finite) or a pair of dim-1
-    WindowFunction (spectral windows), optionally with exact logs supplied
-    as ``(values, logs)`` tuples.
-    """
-    def split(f):
-        if isinstance(f, tuple):
-            return f
-        return f, None
-
-    a, loga = split(f1)
-    b, logb = split(f2)
-    if isinstance(a, CharacteristicFunction) and isinstance(b, CharacteristicFunction):
-        if a.group != b.group:
-            raise GroupMismatchError("transforms on different groups")
-        tol = GROUP_Q_TOL if tol is None else tol
-        resid = float(np.abs(a.values - b.values).max())
-        return _zero_witness(a.group, resid) if within(resid, tol) else None
-    if isinstance(a, WindowFunction) and isinstance(b, WindowFunction):
-        if a.window != b.window or a.window.dim != 1:
-            raise GroupMismatchError("expected matching dim-1 windows")
-        tol = WINDOW_Q_TOL if tol is None else tol
-        win = a.window
-        d_cap = min(d_max, win.radius - 2)
-
-        def value_residual(q_fn):
-            return np.abs(np.asarray(a.values)
-                          - np.asarray(b.values) * np.exp(np.asarray(q_fn.values))).max()
-
-        if loga is not None and logb is not None:
-            q_vals = np.asarray(loga.values) - np.asarray(logb.values)
-        else:
-            q_vals = _continuous_log(np.asarray(a.values)) - _continuous_log(np.asarray(b.values))
-        return _window_witness(win, q_vals, value_residual, d_cap, tol)
-    raise TypeError("unsupported operand types for witness comparison")

@@ -483,7 +483,7 @@ def test_10_reports_are_byte_reproducible(tmp_path, qchar_script):
         DATA / "kb_and_circle.json",
         DATA / "full_surface.json",
     ]
-    cmd = ["qchar", "run", *[str(p) for p in corpus], "--workers", "2"]
+    cmd = ["qchar", "run", *[str(p) for p in corpus]]
     first = subprocess.run(cmd, capture_output=True)
     second = subprocess.run(cmd, capture_output=True)
     assert first.returncode == second.returncode == 0, _failure(first, second)

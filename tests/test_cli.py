@@ -586,7 +586,7 @@ def test_run_construct_radius_outside_window_exits_two(tmp_path, capsys, radius,
 
 
 def test_run_multi_scenario_order_and_worker_determinism(capsys):
-    args = ["run", DATA / "full_surface.json", "--workers", "3"]
+    args = ["run", DATA / "full_surface.json"]
     code1, out1, _ = run_cli(args, capsys)
     code2, out2, _ = run_cli(args, capsys)
     assert code1 == code2 == 0
@@ -611,6 +611,39 @@ def test_strict_profile_still_passes_exact_cases(capsys):
         ["run", DATA / "heyde_pass.json", "--tolerance-profile", "strict"], capsys
     )
     assert code == 0
+
+
+def _kb_z6(eps):
+    """A kb document on Z_6: Haar on 1 + <2> with eps of mass moved from 1 to 5,
+    and Haar on <2>. Its sum/difference residual is about 1.73 eps."""
+    return {"schema": "qchar-scenario-1", "kind": "kb", "name": "z6-kb-boundary", "payload": {
+        "group": {"orders": [6]},
+        "first": {"probs": [0, 1 / 3 - eps, 0, 1 / 3, 0, 1 / 3 + eps]},
+        "second": {"kind": "shifted-haar", "point": [2], "subgroup": {"generators": [[2]]}},
+    }}
+
+
+def test_strict_profile_rejects_a_kb_residual_the_default_passes():
+    default = run_scenario(_kb_z6(1e-12))
+    assert default["verdict"] == "pass"
+    residual = default["details"]["equation_residual"]
+    assert 1e-12 < residual < 1e-9  # strict's and default's documented tolerances
+    assert residual == pytest.approx(1.73e-12, rel=0.01)
+    strict = run_scenario(_kb_z6(1e-12), "strict")
+    assert strict["verdict"] == "hypothesis-violated"
+    assert strict["details"]["residual"] == residual
+
+
+@pytest.mark.parametrize("eps, residual", [(2.9e-10, 5.0e-10), (1e-9, 1.7e-9)],
+                         ids=["half", "twice"])
+def test_default_profile_decides_the_kb_identity_at_1e_9(eps, residual):
+    # strict rejects both at the identity, so its report carries the residual
+    measured = run_scenario(_kb_z6(eps), "strict")["details"]["residual"]
+    assert measured == pytest.approx(residual, rel=0.05)
+    report = run_scenario(_kb_z6(eps))
+    reason = report["details"].get("reason", "")
+    rejected = reason.startswith("sum/difference identity fails")
+    assert rejected == (report["verdict"] == "hypothesis-violated") == (measured > 1e-9)
 
 
 # -- other subcommands ------------------------------------------------------
@@ -719,12 +752,24 @@ def test_python_dash_m_qchar_is_quiet(monkeypatch):
         assert "usage:" in proc.stdout
 
 
+def test_run_has_no_workers_option(qchar_script):
+    proc = subprocess.run(
+        ["qchar", "run", "--workers", "2", str(DATA / "heyde_pass.json")],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "error: unrecognized arguments: --workers" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_jsonschema_loads_only_to_validate_a_document(tmp_path):
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = f"""
 import contextlib, io, json, sys
 import qchar.cli
 assert "jsonschema" not in sys.modules, "import"
+assert "concurrent.futures" not in sys.modules, "import"
 with contextlib.redirect_stdout(io.StringIO()):
     qchar.cli.main(["sweep", "independence-collapse", "--count", "2", "--max-order", "4"])
 assert "jsonschema" not in sys.modules, "sweep"

@@ -10,11 +10,10 @@ from qchar.elimination import (
     EliminationTrace,
     run_heyde_chain,
     run_pexider_chain,
-    substitute_and_subtract,
 )
 from qchar.errors import KernelConditionError, PremiseError, WindowExhaustedError
 from qchar.groups import Automorphism, FiniteAbelianGroup
-from qchar.polynomials import GroupFunction, WindowFunction, tabulate
+from qchar.polynomials import GroupFunction, WindowFunction, difference, tabulate
 
 
 def window_pexider_problem(radius=40):
@@ -139,19 +138,17 @@ def test_group_heyde_two_torsion_kernel():
 
 def test_substitute_and_subtract_window():
     F = tabulate(6, 2, lambda u, v: float(u * u + v))
-    out = substitute_and_subtract(F, (1, 2))
-    # (u+1)^2 + (v+2) - u^2 - v = 2u + 3
-    assert out.value((1, 0)) == pytest.approx(5.0)
+    out = difference(F.values, (1, 2))
+    # (u+1)^2 + (v+2) - u^2 - v = 2u + 3, on the square of radius 6 - 2
+    assert out.shape == (9, 9)
+    assert out[4 + 1, 4 + 0] == pytest.approx(5.0)
 
 
 def test_substitute_and_subtract_group_pair():
-    g = FiniteAbelianGroup((5,))
-    sq = FiniteAbelianGroup((5, 5))
-    vals = np.arange(25, dtype=float)
-    F = GroupFunction(sq, vals)
-    out = substitute_and_subtract(F, (1, 0))
+    vals = np.arange(25, dtype=float)  # on Z_5 x Z_5, (u, v) at 5 u + v
+    out = difference(vals, (np.arange(25) + 5) % 25)
     # index (u, v) -> value at (u+1, v) minus value at (u, v)
-    assert out.values[0] == vals[5] - vals[0]
+    assert out[0] == vals[5] - vals[0]
 
 
 def test_nan_term_fails_the_premise():

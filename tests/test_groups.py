@@ -29,7 +29,6 @@ from qchar.groups import (
     pairing,
     phase_matrix,
     primary_component,
-    quotient,
     structural_predicates,
 )
 from qchar.scenarios import run_inspect
@@ -178,17 +177,6 @@ def test_primary_component():
     p3 = primary_component(g, 3)
     assert p2.order == 4
     assert p3.order == 3
-
-
-def test_quotient_sizes_and_projection():
-    g = FiniteAbelianGroup((4, 2))
-    s = Subgroup.from_generators(g, [(2, 0)])
-    q, proj = quotient(g, s)
-    assert q.order == 4
-    # the projection kills exactly the subgroup
-    assert proj.kernel().order == s.order
-    for x in s.coords_list():
-        assert proj(x) == tuple([0] * q.rank)
 
 
 def test_generating_set_regenerates():

@@ -17,10 +17,9 @@ from qchar.polynomials import (
     IntegerWindow,
     WindowFunction,
     constancy_check,
-    delta,
+    difference,
     fit_polynomial_window,
     is_polynomial,
-    iterated_delta,
     min_degree,
     monomials_up_to,
     poly_eval,
@@ -46,16 +45,17 @@ def test_tabulate_and_value():
 
 def test_delta_shrinks_window():
     f = tabulate(5, 1, lambda x: x ** 3)
-    d = delta(f, (2,))
-    assert d.window.radius == 3
+    d = difference(f.values, (2,))
+    assert d.shape == (2 * 3 + 1,)
     # difference of cubes: (x+2)^3 - x^3 = 6x^2 + 12x + 8
-    assert d.value((1,)) == 6 + 12 + 8
+    assert d[3 + 1] == 6 + 12 + 8
 
 
 def test_iterated_delta_kills_degree():
-    f = tabulate(8, 1, lambda x: 2 * x ** 3 - x + 4)
-    out = iterated_delta(f, (1,), 4)
-    assert np.max(np.abs(out.values)) == 0.0
+    out = tabulate(8, 1, lambda x: 2 * x ** 3 - x + 4).values
+    for _ in range(4):
+        out = difference(out, (1,))
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_cubic_passes_exactly_at_its_degree():
@@ -93,8 +93,8 @@ def test_group_polynomial_iff_constant():
 def test_group_delta_wraps():
     g = FiniteAbelianGroup((4,))
     f = GroupFunction(g, np.array([1.0, 2.0, 4.0, 8.0]))
-    d = delta(f, (1,))
-    assert d.values[3] == pytest.approx(1.0 - 8.0)
+    d = difference(f.values, (np.arange(4) + 1) % 4)  # x + 1 on Z_4
+    assert d[3] == pytest.approx(1.0 - 8.0)
 
 
 def test_quadratic_check_zero_for_true_quadratic():
