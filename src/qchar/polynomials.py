@@ -2,26 +2,25 @@
 
 A function is a polynomial of degree <= n when the (n+1)-fold iterated
 difference with the same shift h vanishes for every admissible h.  On a
-finite group the shifts range over the whole group, and a polynomial of any
-degree is necessarily constant; on an integer window [-N, N]^m each
-difference shrinks the window, so shifts are limited to those keeping every
-iterate inside.
+finite group f(x + kh) is, for fixed x and h, a polynomial in k that is
+periodic in k, so a polynomial of any degree is constant: a group degree
+certificate is degree 0 with residual max - min, the largest |f(u) - f(v)|
+over all pairs (rounded subtraction is monotone).  On an integer window
+[-N, N]^m each difference shrinks the window, so shifts are limited to those
+keeping every iterate inside.
 
-The degree-0 residual of real, finite values on a group is max - min, which
-is the same float as the largest |f(x + h) - f(x)| over all shifts (rounded
-subtraction is monotone), found in O(|G|) without an addition table.
 ``min_degree`` certifies a window function's degree without fitting it; the
 certificate's ``coefficients`` are fitted on first read and cached.
 
-``difference`` is the one shifted difference, on plain arrays; the degree
-scans and the elimination chains both use it.  A scan runs its shifts in
-blocks along a leading batch axis, at most ``BLOCK_ENTRIES`` entries an
-array, and each entry is the same subtraction as one shift at a time.  A
-window scan runs its shifts by ring max |h|, largest first, and takes the
-k-th difference of a block only on the box of radius N - k m (m its
-smallest ring) that the peaks read.  A failing degree's residual is never
-reported, so a scan returns the first failing peak in product order once
-every shift before it is in: on a window almost always at the first shift.
+``difference`` is the one shifted difference, on plain arrays; the window
+degree scan and the elimination chains both use it.  A window scan runs its
+shifts by ring max |h|, largest first, in blocks along a leading batch axis
+of at most ``BLOCK_ENTRIES`` entries an array, and takes the k-th difference
+of a block only on the box of radius N - k m (m its smallest ring) that the
+peaks read; each entry is the same subtraction as one shift at a time.  A
+failing degree's residual is never reported, so a scan returns the first
+failing peak in product order once every shift before it is in: almost
+always at the first shift.
 
 Residuals are taken with ``peak``, which propagates NaN, and compared with
 ``within``, which is False for NaN, so non-finite data never certify.
@@ -36,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import FactorizationError, GroupMismatchError, WindowExhaustedError
-from .groups import FiniteAbelianGroup, _add, _neg_table
+from .groups import FiniteAbelianGroup
 
 __all__ = [
     "IntegerWindow",
@@ -210,13 +209,6 @@ def difference(values, move):
     return values[tuple(slice(off + c, off + c + 2 * r + 1) for c in move)] - _centre(values, r)
 
 
-def _blocks(count: int, size: int):
-    """Slices of a group degree scan's range(count): the first shift alone,
-    where a failing degree almost always fails, then up to ``size`` shifts each."""
-    edges = [0, *range(1, count, max(size, 1)), count] if count else []
-    return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
 def _window_peaks(f, n: int, shifts, rings):
     """Peaks of the (n+1)-fold difference at a block of shifts, rings descending.
 
@@ -240,30 +232,14 @@ def _window_peaks(f, n: int, shifts, rings):
 
 
 def _shift_peaks(f, n: int):
-    """(places, peaks) of the (n+1)-fold difference, a block of shifts at a time.
+    """(places, peaks) of a window function's (n+1)-fold difference, a block of
+    shifts at a time.
 
-    places are the shifts' positions in product order.  A group runs min(h, -h)
-    of each pair {h, -h}, in product order, and yields the places of both with
-    one peak: D_-h^(n+1) f(x) is +-D_h^(n+1) f(x - (n+1)h) up to the sign of a
-    zero, so the two peaks are one float.  A window's centred boxes break that
-    mirror: it runs (-reach, ..., -reach) alone, then makes the rest and runs
-    them by ring |h|, largest first and in product order within a ring, each
-    block holding at most ``BLOCK_ENTRIES`` entries of the box its first
-    difference covers.
+    places are the shifts' positions in product order.  The scan runs
+    (-reach, ..., -reach) alone, then makes the rest and runs them by ring
+    |h|, largest first and in product order within a ring, each block holding
+    at most ``BLOCK_ENTRIES`` entries of the box its first difference covers.
     """
-    if isinstance(f, GroupFunction):
-        vals, neg = np.asarray(f.values), _neg_table(f.group)
-        reps = np.flatnonzero(np.arange(vals.size) <= neg)[1:]
-        for block in _blocks(len(reps), BLOCK_ENTRIES // vals.size):
-            h = reps[block]
-            move = _add(f.group, np.arange(vals.size), h[:, None])
-            d = difference(vals, move)
-            move += np.arange(0, move.size, vals.size)[:, None]  # later rounds read their own row
-            for _ in range(n):
-                d = difference(d, move)
-            peaks, pair = np.abs(d).max(axis=1), neg[h] != h
-            yield np.concatenate([h, neg[h][pair]]) - 1, np.concatenate([peaks, peaks[pair]])
-        return
     N, dim = f.window.radius, f.window.dim
     if N < n + 2:
         raise WindowExhaustedError(f"radius {N} too small for degree-{n} test (needs >= {n + 2})")
@@ -283,16 +259,12 @@ def _shift_peaks(f, n: int):
 
 
 def _poly_residual(f, n: int, tol=None) -> float:
-    """Largest (n+1)-fold difference over all admissible shifts.
+    """Largest (n+1)-fold difference of a window function over all admissible shifts.
 
     With ``tol`` it returns the peak of the first shift in product order that
     fails ``within``: a failing degree is decided there, and its residual is
     never reported.  The scan stops once every shift before that one is in.
     """
-    if n == 0 and isinstance(f, GroupFunction):
-        vals = f.values
-        if vals.dtype.kind == "f" and np.isfinite(vals).all():
-            return float(abs(vals.max() - vals.min()))
     seen, places, failed = [], [], False
     for at, peaks in _shift_peaks(f, n):
         seen.append(peaks)
@@ -307,45 +279,56 @@ def _poly_residual(f, n: int, tol=None) -> float:
 
 
 def is_polynomial(f, n: int, tol: float | None = None) -> bool:
-    """Degree <= n in the repeated-shift sense, over all admissible shifts."""
+    """Degree <= n in the repeated-shift sense, over all admissible shifts.
+
+    On a finite group that is constancy, whatever n is.
+    """
+    if isinstance(f, GroupFunction):
+        return min_degree(f, tol=tol) is not None
     if tol is None:
-        tol = GROUP_POLY_TOL if isinstance(f, GroupFunction) else WINDOW_POLY_TOL
+        tol = WINDOW_POLY_TOL
     return within(_poly_residual(f, n, tol), tol)
 
 
 def min_degree(f, n_max: int | None = None, tol: float | None = None) -> PolynomialCertificate | None:
-    """Smallest certified degree, or None when no degree up to n_max passes."""
+    """Smallest certified degree, or None when no degree up to n_max passes.
+
+    On a finite group it is degree 0 with residual max - min, or None,
+    whatever n_max is.
+    """
     if isinstance(f, GroupFunction):
-        if tol is None:
-            tol = GROUP_POLY_TOL
-        if n_max is None:
-            n_max = min(f.group.order, 16)
-    else:
-        if tol is None:
-            tol = WINDOW_POLY_TOL
-        if n_max is None:
-            n_max = min(DEGREE_CAP, f.window.radius - 2)
+        vals = np.asarray(f.values)
+        if vals.dtype.kind == "f" and np.isfinite(vals).all():
+            r = float(abs(vals.max() - vals.min()))
+        else:  # the peak of f(u) - f(v) over all pairs
+            r = _pair_peak(vals.size, vals.size, lambda u: vals[u] - vals)
+        ok = within(r, GROUP_POLY_TOL if tol is None else tol)
+        return PolynomialCertificate(degree=0, residual=r) if ok else None
+    if tol is None:
+        tol = WINDOW_POLY_TOL
+    if n_max is None:
+        n_max = min(DEGREE_CAP, f.window.radius - 2)
     for n in range(n_max + 1):
         r = _poly_residual(f, n, tol)
         if within(r, tol):
             cert = PolynomialCertificate(degree=n, residual=r)
-            if isinstance(f, WindowFunction):
-                cert._unfitted = (f, max(tol, WINDOW_POLY_TOL))
+            cert._unfitted = (f, max(tol, WINDOW_POLY_TOL))
             return cert
     return None
 
 
-def constancy_check(f: GroupFunction, n_max: int = 8, tol: float = GROUP_POLY_TOL) -> dict:
+def constancy_check(f: GroupFunction, tol: float = GROUP_POLY_TOL) -> dict:
     """Constancy and polynomiality must agree on a finite group.
 
     Returns {"constant", "polynomial", "degree"}; a mismatch between the two
-    routes signals a numerical inconsistency and raises.
+    routes (the values against the first, and max - min) signals a numerical
+    inconsistency and raises.
     """
     if not isinstance(f, GroupFunction):
         raise TypeError("constancy check applies to functions on finite groups")
     vals = np.asarray(f.values)
     constant = within(peak(vals - vals.flat[0]), tol)
-    cert = min_degree(f, n_max=n_max, tol=tol)
+    cert = min_degree(f, tol=tol)
     polynomial = cert is not None
     if polynomial != constant:
         raise FactorizationError(
@@ -355,29 +338,20 @@ def constancy_check(f: GroupFunction, n_max: int = 8, tol: float = GROUP_POLY_TO
             "degree": cert.degree if cert else None}
 
 
-def quadratic_check(f, tol: float = 1e-12) -> float:
+def quadratic_check(f: WindowFunction, tol: float = 1e-12) -> float:
     """Residual of f(u+v) + f(u-v) - 2 f(u) - 2 f(v) over admissible pairs.
 
-    Requires real values, f(0) = 0 and evenness.
+    Requires real values on an integer window, f(0) = 0 and evenness.  On a
+    finite group f(mu) = m^2 f(u), m the order of u, forces f = 0.
     """
+    if not isinstance(f, WindowFunction):
+        raise TypeError("quadratic check applies to functions on integer windows")
     vals = np.asarray(f.values)
     if np.iscomplexobj(vals) and not within(peak(vals.imag), tol):
         raise ValueError("quadratic check requires real values")
-    vals = vals.real.astype(np.float64)
-    if isinstance(f, GroupFunction):
-        g = f.group
-        if not within(abs(vals[0]), tol):
-            raise ValueError("f(0) must vanish")
-        neg = _neg_table(g)
-        if not within(peak(vals[neg] - vals), tol):
-            raise ValueError("f must be even")
-        return _pair_peak(g.order, g.order, lambda u: (
-            vals[_add(g, u, np.arange(g.order))] + vals[_add(g, u, neg)]
-            - 2.0 * vals[u] - 2.0 * vals))
-    w = f.window
+    vals, w = vals.real.astype(np.float64), f.window
     N = w.radius
-    centre = (N,) * w.dim
-    if not within(abs(vals[centre]), tol):
+    if not within(abs(vals[(N,) * w.dim]), tol):
         raise ValueError("f(0) must vanish")
     if not within(peak(vals[tuple(slice(None, None, -1) for _ in range(w.dim))] - vals), tol):
         raise ValueError("f must be even")

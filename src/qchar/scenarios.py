@@ -493,8 +493,6 @@ def _run_heyde(payload: dict, tol: float) -> tuple[str, dict]:
             "symmetry_residual": heyde_symmetry_residual(inst),
         }
         return "counterexample", details
-    except UndefinedLogError as exc:
-        return "fail", {"reason": str(exc)}
 
 
 def _run_kb(payload: dict, tol: float) -> tuple[str, dict]:

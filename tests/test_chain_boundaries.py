@@ -13,6 +13,8 @@ literals, so a changed constant fails its own pair.
 - Window final tolerance 1e-8: a term off by delta at an entry that R's
   cropped degree test does not read.
 - Premise tolerance 1e-12: exact data with a given R off by delta in one entry.
+- Group degree tolerance 1e-10: a one-term chain on Z_7 off by delta in one
+  entry, whose derived R has max - min about 3 delta, through run_scenario.
 """
 
 import numpy as np
@@ -187,3 +189,43 @@ def test_a_pexider_chain_document_passes_at_half_and_not_at_twice(name):
     failed = run_scenario(documents[name](twice))
     assert failed["verdict"] == "hypothesis-violated"
     assert 1.6 * tol < failed["details"]["residual"] < 2.4 * tol
+
+
+# ---- the group degree tolerance, through run_scenario ----------------------
+
+GROUP_POLY_TOL = 1e-10
+
+
+def _z7_pexider_document(delta, r_degree):
+    # one term psi(u + 3v) with psi off by delta at 1: R's max - min is about 3 delta
+    values = [0.3] * 7
+    values[1] += delta
+    return {"schema": "qchar-scenario-1", "kind": "pexider-chain", "name": "boundary",
+            "payload": {"group": {"orders": [7]}, "terms": [{"values": values, "b": {"scalar": 3}}],
+                        "r_degree": r_degree}}
+
+
+@pytest.mark.parametrize("r_degree", [0, 1, 8])
+def test_a_group_cross_term_passes_at_half_the_degree_tolerance_and_not_at_twice(r_degree):
+    # on a group the cross term must be constant whatever r_degree declares
+    half = run_scenario(_z7_pexider_document(GROUP_POLY_TOL / 6, r_degree))
+    if r_degree < 8:
+        assert half["verdict"] == "pass"
+        assert half["details"]["cross_degree"] == 0
+    else:  # R is certified; its annihilation then reaches 462 delta, past 1e-9
+        assert half["verdict"] == "hypothesis-violated"
+        assert half["details"]["reason"].startswith("cross-term annihilation failed")
+    twice = run_scenario(_z7_pexider_document(2 * GROUP_POLY_TOL / 3, r_degree))
+    assert twice["verdict"] == "hypothesis-violated"
+    assert twice["details"] == {
+        "reason": f"cross term fails the degree-{r_degree} polynomial test", "residual": None}
+
+
+def test_a_random_group_cross_term_fails_its_declared_degree():
+    values = np.random.default_rng(64).standard_normal(64).tolist()
+    document = {"schema": "qchar-scenario-1", "kind": "pexider-chain", "name": "random",
+                "payload": {"group": {"orders": [64]},
+                            "terms": [{"values": values, "b": {"scalar": 1}}], "r_degree": 8}}
+    failed = run_scenario(document)
+    assert failed["verdict"] == "hypothesis-violated"
+    assert failed["details"]["reason"] == "cross term fails the degree-8 polynomial test"

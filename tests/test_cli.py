@@ -545,6 +545,19 @@ def test_circle_cramer_without_exact_logs_runs_to_a_verdict(monkeypatch, capsys)
     assert run_cli(["run", DATA / "circle_logs.json"], capsys)[0] == 0
 
 
+def test_heyde_with_vanishing_transforms_stops_at_the_log_route():
+    # Haar laws on Z_5 pass the symmetry and factorization checks, and their
+    # transforms vanish off 0, so the log route is refused as a violated hypothesis
+    haar = {"kind": "haar"}
+    rep = run_scenario({"schema": "qchar-scenario-1", "kind": "heyde", "payload": {
+        "group": {"orders": [5]}, "alpha": {"scalar": 2},
+        "joint": {"kind": "product", "factors": [haar, haar]}}})
+    assert rep["verdict"] == "hypothesis-violated"
+    assert rep["details"] == {
+        "reason": "a characteristic function vanishes; the logarithmic route is unavailable",
+        "residual": None}
+
+
 def test_circle_cramer_at_the_radius_cap_is_bounded(tmp_path, capsys):
     # the largest schema-valid circle window; quadratic_check's pairs are the rest
     scn = _full_surface("circle-gaussian-split")

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 import qchar.polynomials as polynomials
 from qchar.elimination import EliminationProblem, run_pexider_chain
+from qchar.errors import FactorizationError
 from qchar.groups import Automorphism, FiniteAbelianGroup, _add, _neg_table, groups_up_to_order
 from qchar.polynomials import (
     GROUP_POLY_TOL,
@@ -115,16 +116,15 @@ def test_quadratic_check_requires_even():
         quadratic_check(f)
 
 
+def test_quadratic_check_refuses_group_functions():
+    g = FiniteAbelianGroup((5,))
+    with pytest.raises(TypeError):
+        quadratic_check(GroupFunction(g, np.zeros(5)))
+
+
 def _dense_quadratic_residual(f):
     """The parallelogram defect on every admissible pair at once, as one array."""
     vals = np.asarray(f.values, dtype=np.float64)
-    if isinstance(f, GroupFunction):
-        g = f.group
-        u = np.arange(g.order)[:, None]
-        neg = _neg_table(g)
-        resid = (vals[_add(g, u, u.T)] + vals[_add(g, u, neg[None, :])]
-                 - 2.0 * vals[:, None] - 2.0 * vals[None, :])
-        return float(np.abs(resid).max())
     N, pts, flat = f.window.radius, f.window.points(), vals.ravel()
     s = pts[:, None, :] + pts[None, :, :]
     d = pts[:, None, :] - pts[None, :, :]
@@ -135,22 +135,15 @@ def _dense_quadratic_residual(f):
     return float(np.abs(resid).max())
 
 
-@pytest.mark.parametrize("case", ["z257", "z16xz16", "radius-300", "radius-12-dim-2"])
+@pytest.mark.parametrize("case", ["radius-300", "radius-12-dim-2"])
 def test_blocked_quadratic_check_is_bitwise_the_dense_one(case):
-    # 66049, 65536, 361201 and 390625 pairs: several blocks of BLOCK_ENTRIES
+    # 361201 and 390625 pairs: several blocks of BLOCK_ENTRIES
     rng = np.random.default_rng(7)
-    if case.startswith("z"):
-        g = FiniteAbelianGroup({"z257": (257,), "z16xz16": (16, 16)}[case])
-        vals = rng.random(g.order)
-        vals = vals + vals[_neg_table(g)]  # even
-        vals[0] = 0.0
-        f = GroupFunction(g, vals)
-    else:
-        radius, dim = {"radius-300": (300, 1), "radius-12-dim-2": (12, 2)}[case]
-        vals = rng.random((2 * radius + 1,) * dim)
-        vals = vals + vals[(slice(None, None, -1),) * dim]  # even
-        vals[(radius,) * dim] = 0.0
-        f = WindowFunction(IntegerWindow(radius, dim), vals)
+    radius, dim = {"radius-300": (300, 1), "radius-12-dim-2": (12, 2)}[case]
+    vals = rng.random((2 * radius + 1,) * dim)
+    vals = vals + vals[(slice(None, None, -1),) * dim]  # even
+    vals[(radius,) * dim] = 0.0
+    f = WindowFunction(IntegerWindow(radius, dim), vals)
     assert quadratic_check(f) == _dense_quadratic_residual(f) > 0.0
 
 
@@ -208,6 +201,11 @@ def _same_float(a, b):
     return np.float64(a).tobytes() == np.float64(b).tobytes()
 
 
+def _group_residual(f):
+    """The residual of a group certificate, read with no tolerance to fail."""
+    return min_degree(f, tol=np.inf).residual
+
+
 def test_group_degree_zero_residual_equals_shift_scan():
     rng = make_rng(20)
     for g in groups_up_to_order(32):
@@ -222,21 +220,57 @@ def test_group_degree_zero_residual_equals_shift_scan():
         ]
         for vals in cases:
             f = GroupFunction(g, vals)
-            assert _same_float(polynomials._poly_residual(f, 0), _shift_scan(f)), (g, vals)
+            assert _same_float(_group_residual(f), _shift_scan(f)), (g, vals)
 
 
 def test_group_degree_zero_residual_keeps_scan_for_complex_and_non_finite():
     rng = make_rng(21)
     g = FiniteAbelianGroup((2, 6))
     complex_vals = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-    cases = [complex_vals, np.full(12, 1.0 + 2.0j)]
+    for vals in (complex_vals, np.full(12, 1.0 + 2.0j), rng.integers(-9, 9, 12)):
+        f = GroupFunction(g, vals)
+        assert _same_float(_group_residual(f), _shift_scan(f)), vals
     for bad in (np.nan, np.inf, -np.inf):
         vals = rng.standard_normal(12)
         vals[5] = bad
-        cases.append(vals)
-    for vals in cases:
         f = GroupFunction(g, vals)
-        assert _same_float(polynomials._poly_residual(f, 0), _shift_scan(f)), vals
+        with np.errstate(invalid="ignore"):  # inf - inf
+            assert min_degree(f, tol=np.inf) is None
+            assert not is_polynomial(f, 3, tol=np.inf)
+
+
+def test_min_degree_on_a_group_takes_no_difference(monkeypatch):
+    calls = []
+    real = polynomials.difference
+    monkeypatch.setattr(polynomials, "difference", lambda *a: calls.append(a) or real(*a))
+    rng = make_rng(22)
+    g = FiniteAbelianGroup((3, 6))
+    near = 0.5 + 3e-10 * rng.random(18)
+    for vals in (np.full(18, 0.5), near, near + 1j * near, rng.standard_normal(18)):
+        f = GroupFunction(g, vals)
+        for n in (None, 0, 1, 8, 16):
+            min_degree(f, n_max=n)
+            is_polynomial(f, n or 0)
+    assert calls == []
+
+
+@pytest.mark.parametrize("spread, want", [
+    (0.5e-10, {"constant": True, "polynomial": True, "degree": 0}),
+    (3e-10, {"constant": False, "polynomial": False, "degree": None}),
+])
+def test_constancy_check_on_either_side_of_its_disagreement_band(spread, want):
+    g = FiniteAbelianGroup((5,))
+    vals = 0.3 + np.array([0.0, 0.5, -0.5, 0.0, 0.0]) * spread
+    assert constancy_check(GroupFunction(g, vals)) == want
+
+
+def test_constancy_check_raises_where_its_two_routes_disagree():
+    # every value is within 0.6e-10 of the first, but max - min is 1.2e-10
+    g = FiniteAbelianGroup((5,))
+    vals = 0.3 + np.array([0.0, 0.6e-10, -0.6e-10, 0.0, 0.0])
+    with pytest.raises(FactorizationError,
+                       match=r"constancy \(True\) and polynomiality \(False\) disagree"):
+        constancy_check(GroupFunction(g, vals))
 
 
 def test_min_degree_fits_window_coefficients_on_first_read(monkeypatch):
@@ -321,7 +355,7 @@ def _ref_delta(vals, f, h):
     """One forward difference the unbatched way: a gather on a group, slices on a window."""
     if isinstance(f, GroupFunction):
         g = f.group
-        return vals[polynomials._add(g, np.arange(g.order), g.as_index(h))] - vals
+        return vals[_add(g, np.arange(g.order), g.as_index(h))] - vals
     N = (vals.shape[0] - 1) // 2
     r = N - max(abs(c) for c in h)
     base = tuple(slice(N - r, N + r + 1) for _ in h)
@@ -426,14 +460,15 @@ def test_blocked_residuals_match_the_per_shift_loop(monkeypatch, oracle, block_e
     # one shift per block, then block sizes that leave a partial last block
     monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", block_entries)
     for f, top, ref in oracle:
+        if isinstance(f, GroupFunction):
+            continue  # a group certificate scans no shifts: see the group oracle below
         with np.errstate(over="ignore", invalid="ignore"):
             for (n, tol), want in ref.items():
                 assert _same_bits(polynomials._poly_residual(f, n, tol), want), (f, n, tol)
                 if tol is not None:
                     assert is_polynomial(f, n, tol) == polynomials.within(ref[n, None], tol)
             cert = min_degree(f, n_max=top)
-        tol = GROUP_POLY_TOL if isinstance(f, GroupFunction) else WINDOW_POLY_TOL
-        passing = [n for n in range(top + 1) if polynomials.within(ref[n, None], tol)]
+        passing = [n for n in range(top + 1) if polynomials.within(ref[n, None], WINDOW_POLY_TOL)]
         if not passing:
             assert cert is None, f
         else:
@@ -554,22 +589,44 @@ def test_difference_along_minus_h_is_the_negated_translate_along_h(orders):
                     assert _same_up_to_zero_and_nan_sign(minus, want), (orders, h, k)
 
 
-@pytest.mark.parametrize("block_entries", [1, 7 * 24 + 5, polynomials.BLOCK_ENTRIES])
-def test_group_residuals_of_paired_shifts_match_the_per_shift_loop(monkeypatch, block_entries):
-    monkeypatch.setattr(polynomials, "BLOCK_ENTRIES", block_entries)
-    rng = make_rng(43)
-    for orders in [(2, 4, 3), (64,)]:
-        g = FiniteAbelianGroup(orders)
-        for vals in (rng.standard_normal(g.order), 0.5 + 1e-11 * rng.standard_normal(g.order),
-                     rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)):
-            f = GroupFunction(g, vals)
-            for n in range(1, 4):
-                places = np.concatenate([at for at, _ in polynomials._shift_peaks(f, n)])
-                assert np.array_equal(np.sort(places), np.arange(g.order - 1))
-                peaks = _ref_peaks(f, n)
-                # the median peak fails about half of the shifts, not always the first
-                for tol in (None, float(np.median(peaks)), 0.0):
-                    want = _ref_residual(f, n, tol)
-                    assert _same_bits(polynomials._poly_residual(f, n, tol), want), (g, n, tol)
-                    if tol is not None:
-                        assert not polynomials.within(want, tol)
+# -- a group degree certificate against the per-shift scan ----------------------
+
+
+def _near_constant_group_functions():
+    """Random, one-point and two-character functions on Z_2, ..., Z_63 and Z_2^3,
+    each with max - min between 1 and 3 times the group degree tolerance."""
+    rng = make_rng(45)
+    out = []
+    for g in [FiniteAbelianGroup((m,)) for m in range(2, 64)] + [FiniteAbelianGroup((2, 2, 2))]:
+        coords = np.array([g.coords(x) for x in range(g.order)])
+        one_point = np.zeros(g.order)
+        one_point[rng.integers(g.order)] = 1.0
+        # real parts of two non-trivial characters, weighted
+        y = coords[rng.integers(1, g.order, 2)]
+        phases = 2 * np.pi * (coords / np.asarray(g.orders)) @ y.T
+        two_characters = np.cos(phases) @ rng.uniform(0.2, 1.0, 2)
+        for shape in (rng.random(g.order), one_point, two_characters):
+            shape = (shape - shape.min()) / (shape.max() - shape.min())
+            out.append(GroupFunction(g, 0.3 + GROUP_POLY_TOL * rng.uniform(1.0, 3.0) * shape))
+    return out
+
+
+def test_group_certificate_is_the_first_degree_the_per_shift_scan_passes(oracle):
+    # a polynomial on a finite group is constant: no degree 1 to 3 may pass
+    # where degree 0 fails, and min_degree must give the scan's degree-0 residual
+    cases = [f for f, _, _ in oracle if isinstance(f, GroupFunction)]
+    cases += _near_constant_group_functions()
+    tol = GROUP_POLY_TOL
+    with np.errstate(invalid="ignore"):
+        for f in cases:
+            ref = [_ref_residual(f, n, tol) for n in range(4)]
+            passing = [n for n, r in enumerate(ref) if polynomials.within(r, tol)]
+            assert passing[:1] in ([], [0]), (f, ref)
+            cert = min_degree(f, n_max=3)
+            if not np.isfinite(f.values).all():
+                # on Z_1 the scan reads no pair and passes; f(0) - f(0) is NaN
+                assert cert is None, f
+            elif passing:
+                assert cert.degree == 0 and _same_bits(cert.residual, ref[0]), (f, ref)
+            else:
+                assert cert is None, (f, ref)
